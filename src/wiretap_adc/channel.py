@@ -163,11 +163,6 @@ def log_q_function(x):
     return float(log_ndtr(-x))
 
 
-def q_function_array(xs):
-    """Elementwise Q over an array."""
-    return ndtr(-np.asarray(xs, dtype=float))
-
-
 def _cells(spec, means):
     """Probability of each cell for Gaussian(mean, 1) samples; stable in the tails.
 
@@ -176,9 +171,7 @@ def _cells(spec, means):
     a >= 0, left tail when b <= 0, and 1 minus both tails when the mean is
     inside the cell.
     """
-    means = np.asarray(means, dtype=float)
-    scalar = means.ndim == 0
-    m = np.atleast_1d(means)[:, None]
+    m = np.asarray(means, dtype=float)[:, None]
     lo, hi = spec.cell_edges()
     a = lo[None, :] - m
     b = hi[None, :] - m
@@ -192,17 +185,7 @@ def _cells(spec, means):
     if tiny.any():
         logger.debug("clamped %d cell probabilities below %g to 0", int(tiny.sum()), UNDERFLOW_FLOOR)
         out[tiny] = 0.0
-    return out[0] if scalar else out
-
-
-def cell_probability(spec, l, mean):
-    """P(mean + N lands in cell l of spec), N standard normal."""
-    if not isinstance(l, (int, np.integer)):
-        raise ValidationError(f"cell index must be an integer, got {l!r}")
-    if not 0 <= l < spec.levels:
-        raise ValidationError(f"cell index {l} out of range for {spec.levels} levels")
-    mean = require_finite("mean", mean)
-    return float(_cells(spec, mean)[int(l)])
+    return out
 
 
 def output_alphabet(channel, receiver):
@@ -215,33 +198,20 @@ def output_alphabet(channel, receiver):
     )
 
 
-def _component_means(channel, receiver, x):
-    w = channel.gain_for(receiver)
-    if channel.mode == "real":
-        x = complex(x)
-        if x.imag != 0.0:
-            raise ValidationError(f"real-mode input must be real, got {x}")
-        return w.re * x.real, None
-    wx = w.value * complex(x)
-    return wx.real, wx.imag
-
-
 def transition_row(channel, receiver, x):
     """Output distribution for a single input value x."""
     x = complex(x)
     if not (math.isfinite(x.real) and math.isfinite(x.imag)):
         raise ValidationError(f"input must be finite, got {x!r}")
-    pair = channel.adc_for(receiver)
-    mean_r, mean_i = _component_means(channel, receiver, x)
-    row_r = _cells(pair.real_part, mean_r)
-    if channel.mode == "real":
-        return row_r
-    row_i = _cells(pair.imag_part, mean_i)
-    return np.outer(row_r, row_i).ravel()
+    return transition_rows(channel, receiver, (x,))[0]
 
 
 def transition_rows(channel, receiver, xs):
-    """Rows for many inputs at once; identical values to transition_row."""
+    """Output distributions for many inputs, one row per input.
+
+    Complex-mode rows are the outer product of the two component rows,
+    flattened row-major to match output_alphabet.
+    """
     xs = [complex(x) for x in xs]
     pair = channel.adc_for(receiver)
     w = channel.gain_for(receiver)
@@ -266,15 +236,3 @@ def transition_matrix(channel, receiver, input_dist):
         probs=probs,
     )
 
-
-def rotate_complex_input(x, quarter_turns):
-    """x * e^{j*pi/2*k} computed exactly (swap/negate components)."""
-    x = complex(x)
-    k = quarter_turns % 4
-    if k == 0:
-        return x
-    if k == 1:
-        return complex(-x.imag, x.real)
-    if k == 2:
-        return complex(-x.real, -x.imag)
-    return complex(x.imag, -x.real)

@@ -4,8 +4,7 @@ Subcommands: rate, achieve, optimize, kkt-check, sweep, verify, qpsk-bound.
 Inputs come from a JSON config file; results go to stdout or --out as JSON
 (default) or CSV.  Exit codes: 0 success, 1 verification failure, 2
 validation error, 3 equal-gain precondition, 4 sweep exhausted.  Sweeps
-parallelize per-point work across threads (capped by WIRETAP_ADC_THREADS);
-output writing stays single-threaded and ordered.
+evaluate their grid in order, so one config gives the same bytes every run.
 """
 
 import argparse
@@ -32,7 +31,6 @@ from .optimizer import (
     kkt_check,
     optimize_wyner_rate,
 )
-from .util import parallel_map, thread_count
 
 _ACHIEVE_KEYS = {"rate_floor", "mode", "phi_grid", "max_doublings", "extended"}
 _OPTIMIZE_KEYS = {"support_size", "restarts", "seed", "max_iterations"}
@@ -300,8 +298,7 @@ def cmd_sweep(args):
             return (val, alpha * rr.i1, alpha * rr.i2, constrained.effective_rate,
                     constrained.limit_rate)
 
-    rows = parallel_map(run_one, values, workers=thread_count())
-    rows.sort(key=lambda r: r[0])
+    rows = [run_one(val) for val in values]
     payload = {"axis": axis, "rows": [list(r) for r in rows]}
     return _emit(args, payload, ("axis_value", "i1", "i2", "rs", "limit_rate"), rows)
 

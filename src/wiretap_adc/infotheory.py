@@ -184,9 +184,17 @@ def information_density(x, input_dist, matrix, row=None):
             f"row has shape {row.shape}, expected ({len(matrix.output_alphabet)},)"
         )
     py = np.asarray(input_dist.probs, dtype=float) @ matrix.probs
-    if bool(np.any((row > 0.0) & (py == 0.0))):
-        return math.inf
-    return float(_entropy_terms(row, py).sum())
+    return float(information_densities(row, py))
+
+
+def information_densities(rows, py):
+    """Information density sum_y W(y|x) log2(W(y|x)/P_Y(y)) of each row, in bits.
+
+    Works on one row or a stack of rows; a row with mass on an output that
+    P_Y never produces gets +inf.
+    """
+    unseen = np.any((rows > 0.0) & (py == 0.0), axis=-1)
+    return np.where(unseen, math.inf, _entropy_terms(rows, py).sum(axis=-1))
 
 
 def folding_functions(input_dist, w):

@@ -18,7 +18,7 @@ support condition, and a KKT stationarity check with an estimated multiplier.
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -26,7 +26,14 @@ from scipy.optimize import minimize
 from . import channel as channel_mod
 from .adc import is_symmetric_one_bit
 from .errors import EqualGainError, SweepExhaustedError, ValidationError
-from .infotheory import DiscreteInput, RateReport, _rate_arrays, secrecy_rate
+from .infotheory import (
+    DiscreteInput,
+    RateReport,
+    _mutual_information_arrays,
+    _rate_arrays,
+    information_densities,
+    secrecy_rate,
+)
 from .util import require_finite
 
 logger = logging.getLogger(__name__)
@@ -181,7 +188,7 @@ def _construct_seed(chan, power_budget, n):
         arr = np.asarray(pts)
         weights = np.asarray(probs)
         projected = _project_power(arr.copy(), weights, power_budget)
-        rs = _rates_at(chan, projected.astype(complex), weights)
+        rs = _rates_at(chan, projected, weights)
         if best is None or rs > best[0]:
             best = (rs, projected, weights)
     _, pts, probs = best
@@ -214,10 +221,7 @@ def optimize_wyner_rate(chan, power_budget, config=None):
 
     def negrate(vec):
         pts, probs = unpack(vec)
-        return -_rates_at(chan, pts.astype(complex), probs)
-
-    def evaluate(pts, probs):
-        return _rates_at(chan, np.asarray(pts, dtype=complex), np.asarray(probs))
+        return -_rates_at(chan, pts, probs)
 
     best = None  # (rs, power, pts tuple, probs tuple)
     trace = []
@@ -251,14 +255,14 @@ def optimize_wyner_rate(chan, power_budget, config=None):
         iterations = int(res.nit) + int(res2.nit)
         pts, probs = unpack(res2.x)
         pts, probs = _cleanup(pts, probs)
-        rs = evaluate(pts, probs)
+        rs = _rates_at(chan, pts, probs)
 
         # snap to the power boundary when it costs nothing
         power = float(np.dot(probs, pts * pts))
         if 0.0 < power < j:
             scale = math.sqrt(j / power)
             snapped = _project_power(scale * pts, probs, j)
-            rs_snap = evaluate(snapped, probs)
+            rs_snap = _rates_at(chan, snapped, probs)
             if rs_snap >= rs - _SNAP_RATE_TOL:
                 pts, rs = snapped, max(rs, rs_snap)
                 power = float(np.dot(probs, pts * pts))
@@ -266,7 +270,7 @@ def optimize_wyner_rate(chan, power_budget, config=None):
         # fold/reflect moves help escape sign-pattern local optima
         for moved in _fold_moves(pts, probs, config.support_size):
             moved_pts, moved_probs = moved
-            rs_moved = evaluate(moved_pts, moved_probs)
+            rs_moved = _rates_at(chan, moved_pts, moved_probs)
             if rs_moved > rs:
                 logger.debug(
                     "restart %d: fold/reflect move improved rate %.3e -> %.3e",
@@ -280,7 +284,13 @@ def optimize_wyner_rate(chan, power_budget, config=None):
         if best is None or _better(cand, (best[0], best[1], best[2])):
             best = (rs, power, tuple(pts), tuple(probs))
 
-    input_dist = _sorted_input(np.asarray(best[2]), np.asarray(best[3]))
+    pts, probs = np.asarray(best[2]), np.asarray(best[3])
+    input_dist = _sorted_input(pts, probs)
+    # the cleanup's renormalisation can leave E[X^2] an ulp above the budget
+    scale = 1.0
+    while input_dist.power > j:
+        scale = math.nextafter(scale, 0.0)
+        input_dist = _sorted_input(scale * pts, probs)
     report = secrecy_rate(chan, input_dist)
     return OptimizeResult(
         input=input_dist, report=report, power_budget=j, trace=tuple(trace)
@@ -289,61 +299,44 @@ def optimize_wyner_rate(chan, power_budget, config=None):
 
 def _fold_moves(points, probs, support_cap):
     """Candidate rewrites of the support: fold onto |x| and reflect to +/-."""
+    dist = DiscreteInput(tuple(complex(x) for x in points), tuple(probs))
     moves = []
-    folded = {}
-    for x, p in zip(points, probs):
-        folded[abs(x)] = folded.get(abs(x), 0.0) + p
-    if len(folded) < len(points) or any(x < 0 for x in points):
-        pts = np.asarray(sorted(folded))
-        moves.append((pts, np.asarray([folded[x] for x in sorted(folded)])))
-    reflected = {}
-    for x, p in zip(points, probs):
-        if x == 0.0:
-            reflected[0.0] = reflected.get(0.0, 0.0) + p
-        else:
-            reflected[abs(x)] = reflected.get(abs(x), 0.0) + p / 2.0
-            reflected[-abs(x)] = reflected.get(-abs(x), 0.0) + p / 2.0
-    if len(reflected) <= support_cap:
-        pts = np.asarray(sorted(reflected))
-        moves.append((pts, np.asarray([reflected[x] for x in sorted(reflected)])))
-    return moves
+    folded = fold_input(dist)
+    if len(folded.points) < len(points) or any(x < 0 for x in points):
+        moves.append(folded)
+    reflected = reflect_input(dist)
+    if len(reflected.points) <= support_cap:
+        moves.append(reflected)
+    return [(move.real_points(), np.asarray(move.probs)) for move in moves]
 
 
-def reverse_rate_optimize(chan, power_budget, config=None):
-    """Optimize the secrecy rate of the role-swapped channel.
+def _moved_input(input_dist, name, move):
+    """Send the mass p of each point x to the (point, mass) pairs move(|x|, p).
 
-    The eavesdropper becomes the intended receiver and vice versa; useful as
-    the second leg of a sum-rate decomposition candidate.
+    Exactly equal points merge; the result is sorted ascending.
     """
-    swapped = replace(
-        chan,
-        w1=chan.w2,
-        w2=chan.w1,
-        legit_adc=chan.eave_adc,
-        eave_adc=chan.legit_adc,
-    )
-    return optimize_wyner_rate(swapped, power_budget, config)
-
-
-def decomposition_candidate(chan, power_budget, config=None):
-    """Sum of the forward and role-swapped optimized secrecy rates."""
-    forward = optimize_wyner_rate(chan, power_budget, config)
-    backward = reverse_rate_optimize(chan, power_budget, config)
-    return forward.report.rs + backward.report.rs
+    if not input_dist.is_real:
+        raise ValidationError(f"{name} needs a real input distribution")
+    mass = {}
+    for z, p in zip(input_dist.points, input_dist.probs):
+        for x, share in move(abs(z.real), p):
+            mass[x] = mass.get(x, 0.0) + share
+    xs = sorted(mass)
+    return DiscreteInput(tuple(complex(x) for x in xs), tuple(mass[x] for x in xs))
 
 
 def fold_input(input_dist):
-    """Push a real input distribution onto its magnitudes.
+    """Push a real input onto its magnitudes; equal ones merge, sorted ascending."""
+    return _moved_input(input_dist, "fold_input", lambda x, p: ((x, p),))
 
-    Exactly equal magnitudes merge; the result is sorted ascending.
-    """
-    if not input_dist.is_real:
-        raise ValidationError("fold_input needs a real input distribution")
-    folded = {}
-    for z, p in zip(input_dist.points, input_dist.probs):
-        folded[abs(z.real)] = folded.get(abs(z.real), 0.0) + p
-    xs = sorted(folded)
-    return DiscreteInput(tuple(complex(x) for x in xs), tuple(folded[x] for x in xs))
+
+def reflect_input(input_dist):
+    """Split each nonzero point's mass evenly over +|x| and -|x|; sorted ascending."""
+    return _moved_input(
+        input_dist,
+        "reflect_input",
+        lambda x, p: ((x, p),) if x == 0.0 else ((x, p / 2.0), (-x, p / 2.0)),
+    )
 
 
 def folding_gap(chan, input_dist):
@@ -460,19 +453,6 @@ class KktReport:
         }
 
 
-def _information_densities(chan, points, output_dists):
-    """D(x) = i1(x) - i2(x) in bits for an array of real points."""
-    xs = np.asarray(points, dtype=complex)
-    dens = []
-    for receiver, p_out in zip(("legit", "eave"), output_dists):
-        rows = channel_mod.transition_rows(chan, receiver, xs)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = rows * (np.log2(np.where(rows > 0.0, rows, 1.0)) - np.log2(p_out))
-        terms = np.where(rows > 0.0, terms, 0.0)
-        dens.append(terms.sum(axis=1))
-    return dens[0] - dens[1]
-
-
 def kkt_check(chan, input_dist, power_budget, grid_points=2001):
     """Check the first-order optimality of an input at a power budget.
 
@@ -491,19 +471,23 @@ def kkt_check(chan, input_dist, power_budget, grid_points=2001):
     if grid_points < 3:
         raise ValidationError("grid_points must be >= 3")
 
-    report = secrecy_rate(chan, input_dist)
     probs = np.asarray(input_dist.probs)
     xs = input_dist.real_points()
-    p_out = []
-    for receiver in ("legit", "eave"):
-        rows = channel_mod.transition_rows(chan, receiver, xs.astype(complex))
-        p_out.append(probs @ rows)
+    n = len(xs)
     mean_square = float(np.dot(probs, xs * xs))
-
-    d_support = _information_densities(chan, xs, p_out)
     radius = 3.0 * max(float(np.max(np.abs(xs))), math.sqrt(j), 1.0)
     grid = np.linspace(-radius, radius, grid_points)
-    d_grid = _information_densities(chan, grid, p_out)
+
+    # one row stack per receiver: the support's rows, then the grid's
+    rates, dens = [], []
+    for receiver in ("legit", "eave"):
+        rows = channel_mod.transition_rows(chan, receiver, np.concatenate([xs, grid]))
+        rates.append(_mutual_information_arrays(probs, rows[:n]))
+        dens.append(information_densities(rows, probs @ rows[:n]))
+    i1, i2 = rates
+    report = RateReport(i1=i1, i2=i2, rs=i1 - i2, power=input_dist.power)
+    with np.errstate(invalid="ignore"):  # inf - inf is handled in _residuals
+        d_support, d_grid = np.split(dens[0] - dens[1], [n])
 
     if mean_square < j - 1e-9 * max(1.0, j):
         candidates = [0.0]
@@ -527,8 +511,9 @@ def kkt_check(chan, input_dist, power_budget, grid_points=2001):
     def _residuals(lam):
         slack_grid = d_grid - lam * (grid * grid - mean_square) - report.rs
         slack_support = d_support - lam * (xs * xs - mean_square) - report.rs
+        worst = float(np.max(slack_grid))  # NaN where both densities are +inf
         return (
-            max(0.0, float(np.max(slack_grid))),
+            math.inf if math.isnan(worst) else max(0.0, worst),
             float(np.max(np.abs(slack_support))),
             abs(lam * (mean_square - j)),
         )

@@ -1,40 +1,8 @@
-"""Small shared helpers: threading knob, ordered parallel map, JSON coding."""
+"""Small shared helpers: finiteness checks and complex-number JSON coding."""
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import ValidationError
-
-THREADS_ENV = "WIRETAP_ADC_THREADS"
-
-
-def thread_count():
-    """Worker cap for parallel maps; WIRETAP_ADC_THREADS overrides the default."""
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return max(1, min(os.cpu_count() or 1, 8))
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ValidationError(f"{THREADS_ENV} must be >= 1, got {n}")
-    return n
-
-
-def parallel_map(fn, items, workers=None):
-    """map() preserving order; runs on a thread pool when more than one worker.
-
-    Results are collected in input order, so the reduction downstream is
-    deterministic no matter how many workers run.
-    """
-    items = list(items)
-    n = thread_count() if workers is None else workers
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=min(n, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 def require_finite(name, value):

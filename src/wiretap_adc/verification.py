@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
-from . import channel as channel_mod
 from . import optimizer as optimizer_mod
 from .achievability import (
     ConstructOptions,
@@ -44,6 +44,7 @@ from .optimizer import (
     fold_input,
     kkt_check,
     optimize_wyner_rate,
+    reflect_input,
 )
 
 logger = logging.getLogger(__name__)
@@ -222,8 +223,8 @@ def _suite_fold_conditional_entropy(rng):
         c, d, f = folding_functions(dist, w)
         xs = dist.real_points()
         probs = np.asarray(dist.probs)
-        q_signed = float(np.dot(probs, channel_mod.q_function_array(w * xs)))
-        q_folded = float(np.dot(probs, channel_mod.q_function_array(w * np.abs(xs))))
+        q_signed = float(np.dot(probs, ndtr(-(w * xs))))
+        q_folded = float(np.dot(probs, ndtr(-(w * np.abs(xs)))))
         worst = max(worst, abs((c + d) - q_signed), abs((c - d) - q_folded))
         if d < -1e-15 or d > c + 1e-15 or c > 0.5 + 1e-15:
             worst = max(worst, 1.0)
@@ -500,23 +501,10 @@ def _suite_support_condition(rng):
 
 def _escapes_by_folding(chan, result):
     """True when folding or reflecting the input strictly beats it."""
-    rs = result.report.rs
-    folded = fold_input(result.input)
-    if secrecy_rate(chan, folded).rs > rs:
-        return True
-    reflected = {}
-    for z, p in zip(result.input.points, result.input.probs):
-        x = z.real
-        if x == 0.0:
-            reflected[0.0] = reflected.get(0.0, 0.0) + p
-        else:
-            reflected[abs(x)] = reflected.get(abs(x), 0.0) + p / 2.0
-            reflected[-abs(x)] = reflected.get(-abs(x), 0.0) + p / 2.0
-    dist = DiscreteInput(
-        tuple(complex(x) for x in sorted(reflected)),
-        tuple(reflected[x] for x in sorted(reflected)),
+    return any(
+        secrecy_rate(chan, move(result.input)).rs > result.report.rs
+        for move in (fold_input, reflect_input)
     )
-    return secrecy_rate(chan, dist).rs > rs
 
 
 def _suite_kkt(rng):

@@ -50,6 +50,7 @@ from wiretap_adc import (
     q_function,
     qpsk_bound,
     reduce_to_symmetric,
+    reflect_input,
     secrecy_rate,
     z_rate,
 )
@@ -331,20 +332,6 @@ def test_c06_folding_gap_signs():
     assert worst_single <= 1e-10
 
 
-def _reflected(dist):
-    mass = {}
-    for z, p in zip(dist.points, dist.probs):
-        x = z.real
-        if x == 0.0:
-            mass[0.0] = mass.get(0.0, 0.0) + p
-        else:
-            mass[abs(x)] = mass.get(abs(x), 0.0) + p / 2.0
-            mass[-abs(x)] = mass.get(-abs(x), 0.0) + p / 2.0
-    return DiscreteInput(
-        tuple(complex(x) for x in sorted(mass)), tuple(mass[x] for x in sorted(mass))
-    )
-
-
 def test_c07_optimizer_support_pattern():
     hard_failures = 0
     soft_failures = 0
@@ -363,7 +350,7 @@ def test_c07_optimizer_support_pattern():
             rs = result.report.rs
             escapes = [
                 ("folded", secrecy_rate(chan, fold_input(result.input)).rs),
-                ("reflected", secrecy_rate(chan, _reflected(result.input)).rs),
+                ("reflected", secrecy_rate(chan, reflect_input(result.input)).rs),
             ]
             kind, better = max(escapes, key=lambda e: e[1])
             if better > rs:
@@ -449,16 +436,24 @@ def test_c09_mutual_information_oracle():
     assert worst_density <= 1e-12
 
 
-def test_c10_kkt_residuals():
-    worst_support = 0.0
-    worst_slack = 0.0
-    worst_compl = 0.0
+@pytest.fixture(scope="module")
+def kkt_problems():
+    """Ten seeded optimizer outputs, shared between criterion 10 and its budget check."""
+    runs = []
     for case in range(10):
         rng = rng_for(10, case)
         chan = one_bit_real_channel(rng, legit_weaker=bool(case % 2))
         j = float(rng.uniform(0.5, 4.0))
         config = OptimizeConfig(restarts=4, seed=int(rng.integers(0, 2**31)))
-        result = optimize_wyner_rate(chan, j, config)
+        runs.append((chan, j, optimize_wyner_rate(chan, j, config)))
+    return runs
+
+
+def test_c10_kkt_residuals(kkt_problems):
+    worst_support = 0.0
+    worst_slack = 0.0
+    worst_compl = 0.0
+    for chan, j, result in kkt_problems:
         report = kkt_check(chan, result.input, j)
         assert report.grid_points == 2001
         worst_support = max(worst_support, report.support_residual)
@@ -475,3 +470,13 @@ def test_c10_kkt_residuals():
     assert worst_support <= 1e-3
     assert worst_slack <= 1e-3
     assert worst_compl <= 1e-9
+
+
+def test_c10_optimizer_outputs_meet_the_budget(kkt_problems):
+    # E[X^2] as DiscreteInput.power computes it, with no tolerance
+    over = [
+        (case, result.input.power, j)
+        for case, (_, j, result) in enumerate(kkt_problems)
+        if result.input.power > j
+    ]
+    assert not over

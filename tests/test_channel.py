@@ -15,13 +15,11 @@ from wiretap_adc import (
     TransitionMatrix,
     ValidationError,
     WiretapChannel,
-    cell_probability,
     log_q_function,
     one_bit,
     one_bit_pair,
     output_alphabet,
     q_function,
-    rotate_complex_input,
     transition_matrix,
     transition_row,
     transition_rows,
@@ -62,20 +60,26 @@ def test_q_function_rejects_non_finite():
         q_function(float("inf"))
 
 
+def unit_gain_row(spec, mean):
+    """Legitimate row of a real channel with gain 1, so each entry is a cell probability."""
+    chan = make_channel(mode="real", w1=1.0, legit=ComplexAdcPair(spec, spec))
+    return transition_row(chan, "legit", mean)
+
+
 def test_cell_probability_against_quadrature():
     spec = AdcSpec((-1.0, 0.25, 2.0), (0.0, 1.0, 2.0, 3.0))
     edges = [None, -1.0, 0.25, 2.0, None]
     for mean in (-3.0, -0.4, 0.0, 1.7, 6.0):
+        row = unit_gain_row(spec, mean)
         for l in range(spec.levels):
             lo, hi = edges[l], edges[l + 1]
             want = oracles.cell_oracle(lo, hi, mean)
-            got = cell_probability(spec, l, mean)
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-280)
+            assert row[l] == pytest.approx(want, rel=1e-12, abs=1e-280)
 
 
 def test_cell_probability_frozen_middle_cell():
     spec = AdcSpec((-1.0, 1.0), (0.0, 1.0, 2.0))
-    assert cell_probability(spec, 1, 0.0) == pytest.approx(
+    assert unit_gain_row(spec, 0.0)[1] == pytest.approx(
         oracles.CELL_MINUS1_1_MEAN0, rel=1e-15
     )
 
@@ -83,16 +87,9 @@ def test_cell_probability_frozen_middle_cell():
 def test_cell_probability_underflow_clamps_to_zero():
     spec = AdcSpec((-1.0, 1.0), (0.0, 1.0, 2.0))
     # at mean 42 the middle cell is far below the underflow floor
-    assert cell_probability(spec, 1, 42.0) == 0.0
-    assert cell_probability(spec, 2, 42.0) == pytest.approx(1.0)
-
-
-def test_cell_probability_index_validation():
-    spec = one_bit()
-    with pytest.raises(ValidationError):
-        cell_probability(spec, 2, 0.0)
-    with pytest.raises(ValidationError):
-        cell_probability(spec, 0.5, 0.0)
+    row = unit_gain_row(spec, 42.0)
+    assert row[1] == 0.0
+    assert row[2] == pytest.approx(1.0)
 
 
 def test_real_mode_row_uses_real_component_only():
@@ -169,16 +166,6 @@ def test_receiver_name_validation():
     chan = make_channel(mode="real")
     with pytest.raises(ValidationError):
         transition_row(chan, "warden", 1.0)
-
-
-def test_rotate_complex_input_exact_quarter_turns():
-    x = complex(0.3, -0.7)
-    assert rotate_complex_input(x, 0) == x
-    assert rotate_complex_input(x, 1) == complex(0.7, 0.3)
-    assert rotate_complex_input(x, 2) == complex(-0.3, 0.7)
-    assert rotate_complex_input(x, 3) == complex(-0.7, -0.3)
-    assert rotate_complex_input(x, 4) == x
-    assert rotate_complex_input(x, -1) == rotate_complex_input(x, 3)
 
 
 def test_channel_json_round_trip():

@@ -190,8 +190,7 @@ class TestKktCheck:
 
 
 class TestSweep:
-    def test_far_point_axis(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("WIRETAP_ADC_THREADS", "1")
+    def test_far_point_axis(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
             channel=worked_channel().to_json(),
@@ -207,8 +206,7 @@ class TestSweep:
         last = payload["rows"][-1]
         assert abs(last[3] - last[4]) < abs(payload["rows"][0][3] - last[4])
 
-    def test_budget_axis_csv(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("WIRETAP_ADC_THREADS", "1")
+    def test_budget_axis_csv(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
             channel=worked_channel().to_json(),
@@ -219,8 +217,7 @@ class TestSweep:
         assert header == ["axis_value", "i1", "i2", "rs", "limit_rate"]
         assert [float(r[0]) for r in rows] == pytest.approx([1.0, 4.0, 16.0])
 
-    def test_eavesdropper_gain_axis(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("WIRETAP_ADC_THREADS", "1")
+    def test_eavesdropper_gain_axis(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
             channel=worked_channel().to_json(),

@@ -13,13 +13,12 @@ from wiretap_adc import (
     WiretapChannel,
     achieve,
     check_support_condition,
-    decomposition_candidate,
     fold_input,
     folding_gap,
     kkt_check,
     one_bit_pair,
     optimize_wyner_rate,
-    reverse_rate_optimize,
+    reflect_input,
     secrecy_rate,
 )
 
@@ -91,24 +90,6 @@ def test_config_validation():
         OptimizeConfig(restarts=0)
 
 
-def test_reverse_optimize_is_role_swap():
-    chan = one_bit_real_channel(np.random.default_rng(5), legit_weaker=False)
-    swapped = WiretapChannel(
-        w1=chan.w2, w2=chan.w1,
-        legit_adc=chan.eave_adc, eave_adc=chan.legit_adc, mode="real",
-    )
-    rev = reverse_rate_optimize(chan, 1.5, FAST)
-    fwd = optimize_wyner_rate(swapped, 1.5, FAST)
-    assert rev.report.rs == fwd.report.rs
-    assert rev.input == fwd.input
-
-
-def test_decomposition_candidate_dominates_forward():
-    value = decomposition_candidate(EASY, 1.5, FAST)
-    fwd = optimize_wyner_rate(EASY, 1.5, FAST)
-    assert value >= fwd.report.rs - 1e-15
-
-
 def test_fold_input_merges_magnitudes_exactly():
     dist = DiscreteInput((-1.5, -0.25, 0.25, 2.0), (0.1, 0.2, 0.3, 0.4))
     folded = fold_input(dist)
@@ -116,6 +97,16 @@ def test_fold_input_merges_magnitudes_exactly():
     assert folded.probs == pytest.approx((0.5, 0.1, 0.4))
     with pytest.raises(ValidationError):
         fold_input(DiscreteInput((1j,), (1.0,)))
+
+
+def test_reflect_input_splits_mass_exactly():
+    dist = DiscreteInput((-1.5, 0.0, 0.25, 1.5), (0.1, 0.2, 0.3, 0.4))
+    reflected = reflect_input(dist)
+    assert reflected.points == (-1.5 + 0j, -0.25 + 0j, 0j, 0.25 + 0j, 1.5 + 0j)
+    # +/-1.5 each get half of 0.1 and half of 0.4; the zero atom stays whole
+    assert reflected.probs == (0.25, 0.15, 0.2, 0.15, 0.25)
+    with pytest.raises(ValidationError):
+        reflect_input(DiscreteInput((1j,), (1.0,)))
 
 
 def test_folding_gap_signs():
@@ -197,6 +188,17 @@ def test_kkt_inactive_budget_gives_zero_multiplier():
     assert report.lambda_ == 0.0
     assert report.slackness_residual == 0.0
     assert report.mean_square == pytest.approx(0.25)
+
+
+def test_kkt_unseen_output_is_never_certified():
+    # at x = 40 both receivers' lower cells underflow to 0, so every grid point
+    # x < 0 has infinite density at both receivers and D(x) = inf - inf
+    chan = WiretapChannel(
+        w1=ComplexGain(1.0), w2=ComplexGain(2.0),
+        legit_adc=one_bit_pair(), eave_adc=one_bit_pair(), mode="real",
+    )
+    report = kkt_check(chan, DiscreteInput((40.0,), (1.0,)), 1600.0)
+    assert report.max_slack_violation == math.inf
 
 
 def test_kkt_degenerate_support_fallback():
