@@ -9,13 +9,18 @@ eavesdropper's whenever the near amplitude clears the feasibility bound, so
 the rate difference is positive in the limit and, by continuity, at some
 finite far amplitude.
 
-The sweep is deterministic: the canonical margin-rule amplitude runs first
-over a phi grid and a doubling far-amplitude schedule; only if that exhausts
-does an extended candidate stage run (quarter-turn rotated rays, amplitudes
-refined toward the feasibility bound, points riding eavesdropper thresholds,
-riding pairs, and last, in complex mode, split pairs: equal-amplitude points
-on the canonical ray and half a quarter-turn past it, which share an
-eavesdropper corner cell but not a legitimate quadrant).
+The sweep is deterministic.  It runs stages of steps, each step a group of
+candidates: the canonical margin-rule amplitude with one step per far
+amplitude of a doubling schedule (the whole phi grid there); if that clears
+nothing, an extended stage (the schedule on quarter-turn rotated rays from
+amplitudes refined toward the feasibility bound and points riding
+eavesdropper thresholds, then riding pairs, one (pair, phi) step each); last,
+in complex mode, split pairs, one (amplitude, phi) step each: equal-amplitude
+points on the canonical ray and half a quarter-turn past it, which share an
+eavesdropper corner cell but not a legitimate quadrant.  Mode "first" returns
+the smallest-(amplitude, phi) candidate above the floor in the first step
+that has one; mode "best" runs whole stages and returns the best candidate
+once a stage ends with it above the floor.
 """
 
 import cmath
@@ -61,8 +66,7 @@ class PhaseAlignment:
 @dataclass(frozen=True)
 class ConstructOptions:
     rate_floor: float = 1e-9
-    # "first": first candidate above the floor in search order (within a far
-    # schedule: smallest far amplitude, then smallest phi); "best": max rate
+    # "first" or "best": the stop rule in the module docstring
     mode: str = "first"
     phi_grid: tuple = DEFAULT_PHI_GRID
     max_doublings: int = 40
@@ -191,29 +195,30 @@ def align_phase(w1, w2):
     )
 
 
-def _limit_cell_indices(chan, direction):
-    """Joint output index each receiver saturates in as the far point recedes.
+def _ray_axes(chan, receiver, direction):
+    """(drift, ADC) for each quantizer axis the receiver sees along a ray.
 
-    direction is the unit ray e^{j*psi} in complex mode, or +/-1.0 in real
-    mode.
+    drift is that axis's component of gain * direction.  direction is the
+    unit ray e^{j*psi} in complex mode (two axes), or +/-1.0 in real mode
+    (the real axis only).
     """
+    pair = chan.adc_for(receiver)
+    wd = chan.gain_for(receiver).value * direction
+    if chan.mode == "real":
+        return ((wd.real, pair.real_part),)
+    return ((wd.real, pair.real_part), (wd.imag, pair.imag_part))
+
+
+def _limit_cell_indices(chan, direction):
+    """Joint output index each receiver saturates in as the far point recedes."""
     indices = []
     for receiver in ("legit", "eave"):
-        pair = chan.adc_for(receiver)
-        w = chan.gain_for(receiver)
-        if chan.mode == "real":
-            drift = w.re * direction
+        index = 0
+        for drift, spec in _ray_axes(chan, receiver, direction):
             if drift == 0.0:
-                raise ValidationError("ray is orthogonal to the channel gain")
-            indices.append(pair.real_part.levels - 1 if drift > 0.0 else 0)
-        else:
-            wd = w.value * direction
-            if wd.real == 0.0 or wd.imag == 0.0:
                 raise ValidationError("ray drifts along a quantizer axis; no limit cell")
-            k_i = pair.imag_part.levels
-            idx_r = pair.real_part.levels - 1 if wd.real > 0.0 else 0
-            idx_i = k_i - 1 if wd.imag > 0.0 else 0
-            indices.append(idx_r * k_i + idx_i)
+            index = index * spec.levels + (spec.levels - 1 if drift > 0.0 else 0)
+        indices.append(index)
     return tuple(indices)
 
 
@@ -275,13 +280,8 @@ def zchannel_limit(phi, p1, p2):
     return z_rate(phi, p1) - z_rate(phi, p2)
 
 
-def _far_schedule(near_amp, max_doublings):
-    base = max(abs(near_amp), 1.0)
-    return [base * 2.0**k for k in range(max_doublings + 1)]
-
-
 class _Sweep:
-    """Candidate evaluator tracking the running best and optional trace."""
+    """Step evaluator tracking the running best and optional trace."""
 
     def __init__(self, chan, options):
         self.chan = chan
@@ -308,6 +308,18 @@ class _Sweep:
             self.best = (rs, sort_key, candidate)
         return candidate if rs > self.options.rate_floor else None
 
+    def first_hit(self, steps):
+        """Evaluate steps in order; the "first"-mode hit (module docstring) or None."""
+        for step in steps:
+            hits = []
+            for near, far, phi, sort_key, meta in step:
+                candidate = self.consider(near, far, phi, sort_key, meta)
+                if candidate is not None:
+                    hits.append((sort_key, candidate))
+            if hits and self.options.mode == "first":
+                return min(hits, key=lambda hit: hit[0])[1]
+        return None
+
 
 def _pair_power(near, far, phi):
     return phi * abs(near) ** 2 + (1.0 - phi) * abs(far) ** 2
@@ -321,38 +333,39 @@ def _saturated(chan, far_point, direction):
     return row1[idx1] == 1.0 and row2[idx2] == 1.0
 
 
+def _far_points(chan, near_amp, direction, max_doublings):
+    """(far_amp, far point) at max(|near_amp|, 1) * 2^k along direction.
+
+    Stops after the first far point whose rows are saturated.
+    """
+    base = max(abs(near_amp), 1.0)
+    for k in range(max_doublings + 1):
+        far_amp = base * 2.0**k
+        far = complex(far_amp * direction)
+        yield far_amp, far
+        if _saturated(chan, far, direction):
+            return
+
+
 def _ray_threshold_riders(chan, direction):
     """Amplitudes whose eavesdropper mean sits exactly on a threshold."""
-    riders = []
-    w2 = chan.gain_for("eave")
-    if chan.mode == "real":
-        riders.extend(t / (w2.re * direction) for t in chan.eave_adc.real_part.thresholds)
-    else:
-        wd = w2.value * direction
-        if wd.real != 0.0:
-            riders.extend(t / wd.real for t in chan.eave_adc.real_part.thresholds)
-        if wd.imag != 0.0:
-            riders.extend(t / wd.imag for t in chan.eave_adc.imag_part.thresholds)
-    return riders
+    return [
+        t / drift
+        for drift, spec in _ray_axes(chan, "eave", direction)
+        if drift != 0.0
+        for t in spec.thresholds
+    ]
 
 
 def _ray_margin_bound(chan, direction):
     """Feasibility bound generalized to an arbitrary ray direction."""
     s = chan.w2.magnitude - chan.w1.magnitude
-    w2 = chan.gain_for("eave")
-    cands = []
-    if chan.mode == "real":
-        drift = w2.re * direction
-        spec = chan.eave_adc.real_part
-        top = spec.thresholds[-1] if drift > 0.0 else -spec.thresholds[0]
-        cands.append(top / (s * abs(drift) / chan.w2.magnitude))
-    else:
-        wd = w2.value * direction
-        for comp, spec in ((wd.real, chan.eave_adc.real_part), (wd.imag, chan.eave_adc.imag_part)):
-            if comp == 0.0:
-                continue
-            top = spec.thresholds[-1] if comp > 0.0 else -spec.thresholds[0]
-            cands.append(top / (s * abs(comp) / chan.w2.magnitude))
+    cands = [
+        (spec.thresholds[-1] if drift > 0.0 else -spec.thresholds[0])
+        / (s * abs(drift) / chan.w2.magnitude)
+        for drift, spec in _ray_axes(chan, "eave", direction)
+        if drift != 0.0
+    ]
     return max(cands) if s > 0.0 else min(cands)
 
 
@@ -375,81 +388,29 @@ def construct_positive_rate(chan, options=None):
 
     if chan.mode == "real":
         alignment = None
-        a_canonical = choose_amplitude(chan)
-        canonical_dir = 1.0 if chan.w2.re > 0.0 else -1.0
-        canonical_angle = 0.0
+        direction = 1.0 if chan.w2.re > 0.0 else -1.0
+        canonical = _ray_steps(chan, options, choose_amplitude(chan), direction, 0.0, None, "limit")
     else:
         alignment = align_phase(chan.w1, chan.w2)
-        a_canonical = choose_amplitude(chan, alignment.theta)
-        canonical_dir = cmath.rect(1.0, alignment.capital_phi)
-        canonical_angle = alignment.capital_phi
+        a = choose_amplitude(chan, alignment.theta)
+        direction = cmath.rect(1.0, alignment.capital_phi)
+        canonical = _ray_steps(chan, options, a, direction, alignment.capital_phi, 0, "limit")
 
     sweep = _Sweep(chan, options)
-
-    def limits_at(near, direction):
-        p1, p2 = _z_crossovers(chan, near, direction)
-        return p1, p2, {phi: zchannel_limit(phi, p1, p2) for phi in options.phi_grid}
-
-    def finish(candidate):
-        near, far, phi, report, meta = candidate
-        if chan.mode == "real":
-            amp_a, amp_b = near.real, far.real
-        else:
-            unit = cmath.rect(1.0, meta["line_angle"])
-            amp_a = (near / unit).real
-            amp_b = (far / cmath.rect(1.0, meta.get("far_angle", meta["line_angle"]))).real
-        return AchievabilityResult(
-            mode=chan.mode,
-            phi=phi,
-            a=amp_a,
-            b=amp_b,
-            capital_phi=meta["line_angle"] if chan.mode == "complex" else 0.0,
-            theta=None if alignment is None else alignment.theta,
-            delta=None if alignment is None else alignment.delta,
-            m=None if alignment is None else alignment.m,
-            y1_bar=None if alignment is None else alignment.y1_bar,
-            ray=meta["ray"],
-            regime=meta["regime"],
-            p1=meta["p1"],
-            p2=meta["p2"],
-            limit_rate=zchannel_limit(phi, meta["p1"], meta["p2"]),
-            input=DiscreteInput((near, far), (phi, 1.0 - phi)),
-            exact_rate=report,
-            trace=None if sweep.trace is None else tuple(sweep.trace),
-        )
-
-    def scan_far_schedule(near_amp, direction, line_angle, ray, regime):
-        """Doubling far schedule at one near amplitude; first-mode hit or None."""
-        near = complex(near_amp * direction)
-        p1, p2, limits = limits_at(near, direction)
-        meta_base = {"ray": ray, "line_angle": line_angle, "regime": regime, "p1": p1, "p2": p2}
-        for far_amp in _far_schedule(near_amp, options.max_doublings):
-            far = complex(far_amp * direction)
-            hits = []
-            for phi in options.phi_grid:
-                meta = dict(meta_base, limit=limits[phi])
-                cand = sweep.consider(near, far, phi, (far_amp, phi), meta)
-                if cand is not None and options.mode == "first":
-                    hits.append((phi, cand))
-            if hits:
-                return min(hits, key=lambda t: t[0])[1]
-            if _saturated(chan, far, direction):
-                break
-        return None
-
-    canonical_ray = 0 if chan.mode == "complex" else None
-    hit = scan_far_schedule(a_canonical, canonical_dir, canonical_angle, canonical_ray, "limit")
-    if options.mode == "first" and hit is not None:
-        return finish(hit)
-    if options.mode == "best" and sweep.best is not None and sweep.best[0] > options.rate_floor:
-        return finish(sweep.best[2])
-
+    stages = [("canonical", canonical)]
     if options.extended:
-        hit = _extended_stage(chan, sweep, options, alignment, scan_far_schedule, limits_at)
-        if options.mode == "first" and hit is not None:
-            return finish(hit)
-        if sweep.best is not None and sweep.best[0] > options.rate_floor:
-            return finish(sweep.best[2])
+        stages.append(("extended", _extended_steps(chan, options, alignment)))
+        if chan.mode == "complex" and alignment.theta < math.pi / 4.0:
+            stages.append(("split_pair", _split_pair_steps(chan, options, alignment)))
+    stage_evaluations = {}
+    for name, steps in stages:
+        before = sweep.evaluations
+        hit = sweep.first_hit(steps)
+        stage_evaluations[name] = sweep.evaluations - before
+        if hit is None and sweep.best is not None and sweep.best[0] > options.rate_floor:
+            hit = sweep.best[2]
+        if hit is not None:
+            return _result(chan, alignment, hit, sweep.trace)
 
     best_rs, _, best_cand = sweep.best if sweep.best is not None else (None, None, None)
     raise SweepExhaustedError(
@@ -465,18 +426,63 @@ def construct_positive_rate(chan, options=None):
                 "phi": best_cand[2],
             },
             "evaluations": sweep.evaluations,
+            "stage_evaluations": stage_evaluations,
             "channel": chan.to_json(),
         },
     )
 
 
-def _extended_stage(chan, sweep, options, alignment, scan_far_schedule, limits_at):
-    """Deterministic fallback candidates beyond the canonical margin rule.
+def _result(chan, alignment, candidate, trace):
+    """The AchievabilityResult of a winning (near, far, phi, report, meta) candidate."""
+    near, far, phi, report, meta = candidate
+    if chan.mode == "real":
+        amp_a, amp_b = near.real, far.real
+    else:
+        unit = cmath.rect(1.0, meta["line_angle"])
+        amp_a = (near / unit).real
+        amp_b = (far / cmath.rect(1.0, meta.get("far_angle", meta["line_angle"]))).real
+    return AchievabilityResult(
+        mode=chan.mode,
+        phi=phi,
+        a=amp_a,
+        b=amp_b,
+        capital_phi=meta["line_angle"] if chan.mode == "complex" else 0.0,
+        theta=None if alignment is None else alignment.theta,
+        delta=None if alignment is None else alignment.delta,
+        m=None if alignment is None else alignment.m,
+        y1_bar=None if alignment is None else alignment.y1_bar,
+        ray=meta["ray"],
+        regime=meta["regime"],
+        p1=meta["p1"],
+        p2=meta["p2"],
+        limit_rate=zchannel_limit(phi, meta["p1"], meta["p2"]),
+        input=DiscreteInput((near, far), (phi, 1.0 - phi)),
+        exact_rate=report,
+        trace=None if trace is None else tuple(trace),
+    )
 
-    First alternative near amplitudes rerun the far-schedule scan on each
+
+def _ray_steps(chan, options, near_amp, direction, line_angle, ray, regime):
+    """One step per far amplitude of the schedule: the whole phi grid there."""
+    near = complex(near_amp * direction)
+    p1, p2 = _z_crossovers(chan, near, direction)
+    limits = {phi: zchannel_limit(phi, p1, p2) for phi in options.phi_grid}
+    meta = {"ray": ray, "line_angle": line_angle, "regime": regime, "p1": p1, "p2": p2}
+    for far_amp, far in _far_points(chan, near_amp, direction, options.max_doublings):
+        yield [
+            (near, far, phi, (far_amp, phi), dict(meta, limit=limits[phi]))
+            for phi in options.phi_grid
+        ]
+
+
+def _extended_steps(chan, options, alignment):
+    """Deterministic fallback steps beyond the canonical margin rule.
+
+    First alternative near amplitudes rerun the far schedule on each
     quarter-turn ray: the per-ray margin amplitude, refinements toward the
     feasibility bound, threshold riders, and zero.  Then riding amplitudes on
-    each line pair up directly, which covers eavesdropper-pinning inputs the
+    each line pair up directly, one (pair, phi) step at a time with phi in
+    (0.5, 0.3, 0.7) order, which covers eavesdropper-pinning inputs the
     schedule cannot reach.
     """
     s = chan.w2.magnitude - chan.w1.magnitude
@@ -499,9 +505,7 @@ def _extended_stage(chan, sweep, options, alignment, scan_far_schedule, limits_a
             if not math.isfinite(amp) or amp in seen:
                 continue
             seen.add(amp)
-            hit = scan_far_schedule(amp, direction, line_angle, ray, "searched")
-            if hit is not None and options.mode == "first":
-                return hit
+            yield from _ray_steps(chan, options, amp, direction, line_angle, ray, "searched")
 
     pair_phis = [p for p in (0.5, 0.3, 0.7) if p in options.phi_grid] or [options.phi_grid[0]]
     for direction, line_angle, ray in lines:
@@ -514,8 +518,8 @@ def _extended_stage(chan, sweep, options, alignment, scan_far_schedule, limits_a
             far_dir = direction if far_amp >= 0.0 else (
                 -direction if chan.mode == "complex" else -1.0
             )
-            near = complex(near_amp * direction)
-            p1, p2, _ = limits_at(near, far_dir)
+            near, far = complex(near_amp * direction), complex(far_amp * direction)
+            p1, p2 = _z_crossovers(chan, near, far_dir)
             meta = {
                 "ray": ray,
                 "line_angle": line_angle,
@@ -525,31 +529,17 @@ def _extended_stage(chan, sweep, options, alignment, scan_far_schedule, limits_a
                 "limit": None,
             }
             for phi in pair_phis:
-                hit = sweep.consider(
-                    near,
-                    complex(far_amp * direction),
-                    phi,
-                    (abs(far_amp), phi),
-                    meta,
-                )
-                if hit is not None and options.mode == "first":
-                    return hit
-
-    if chan.mode == "complex" and alignment.theta < math.pi / 4.0:
-        if sweep.best is not None and sweep.best[0] > options.rate_floor:
-            return None  # "best" mode already has a winner; keep it
-        return _split_pair_stage(chan, sweep, options, alignment, limits_at)
-    return None
+                yield [(near, far, phi, (abs(far_amp), phi), meta)]
 
 
-def _split_pair_stage(chan, sweep, options, alignment, limits_at):
+def _split_pair_steps(chan, options, alignment):
     """Near point on the canonical ray, far point half a quarter-turn further.
 
     With theta < pi/4 the eavesdropper sees both rays inside its first
     quadrant while the legitimate receiver sees them in adjacent quadrants,
     so at equal amplitudes 2^k both points saturate into one eavesdropper
     corner cell but into different legitimate cells, and the rate tends to
-    h(phi).  Within an amplitude, phi values are tried in grid order.
+    h(phi).  One (amplitude, phi) step at a time, phi in grid order.
     """
     near_dir = cmath.rect(1.0, alignment.capital_phi)
     far_angle = alignment.capital_phi + QUARTER / 2.0
@@ -557,7 +547,7 @@ def _split_pair_stage(chan, sweep, options, alignment, limits_at):
     for k in range(options.max_doublings + 1):
         amp = 2.0**k
         near, far = complex(amp * near_dir), complex(amp * far_dir)
-        p1, p2, limits = limits_at(near, far_dir)
+        p1, p2 = _z_crossovers(chan, near, far_dir)
         meta = {
             "ray": None,
             "line_angle": alignment.capital_phi,
@@ -567,10 +557,7 @@ def _split_pair_stage(chan, sweep, options, alignment, limits_at):
             "p2": p2,
         }
         for phi in options.phi_grid:
-            hit = sweep.consider(near, far, phi, (amp, phi), dict(meta, limit=limits[phi]))
-            if hit is not None and options.mode == "first":
-                return hit
-    return None
+            yield [(near, far, phi, (amp, phi), dict(meta, limit=zchannel_limit(phi, p1, p2)))]
 
 
 def reduce_to_symmetric(chan, legit_threshold_choice=None):

@@ -265,7 +265,6 @@ def optimize_wyner_rate(chan, power_budget, config=None):
             rs_snap = _rates_at(chan, snapped, probs)
             if rs_snap >= rs - _SNAP_RATE_TOL:
                 pts, rs = snapped, max(rs, rs_snap)
-                power = float(np.dot(probs, pts * pts))
 
         # fold/reflect moves help escape sign-pattern local optima
         for moved in _fold_moves(pts, probs, config.support_size):
@@ -277,23 +276,26 @@ def optimize_wyner_rate(chan, power_budget, config=None):
                     restart, rs, rs_moved,
                 )
                 pts, probs, rs = moved_pts, moved_probs, rs_moved
-                power = float(np.dot(probs, pts * pts))
+
+        # the cleanup's renormalisation can leave E[X^2] an ulp above the budget
+        scale = 1.0
+        input_dist = _sorted_input(pts, probs)
+        while input_dist.power > j:
+            scale = math.nextafter(scale, 0.0)
+            input_dist = _sorted_input(scale * pts, probs)
+        if scale != 1.0:
+            pts = scale * pts
+            rs = _rates_at(chan, pts, probs)
+        power = input_dist.power
 
         trace.append((config.seed, restart, iterations, rs, power))
         cand = (rs, power, tuple(pts))
-        if best is None or _better(cand, (best[0], best[1], best[2])):
-            best = (rs, power, tuple(pts), tuple(probs))
+        if best is None or _better(cand, best[:3]):
+            best = (rs, power, tuple(pts), input_dist)
 
-    pts, probs = np.asarray(best[2]), np.asarray(best[3])
-    input_dist = _sorted_input(pts, probs)
-    # the cleanup's renormalisation can leave E[X^2] an ulp above the budget
-    scale = 1.0
-    while input_dist.power > j:
-        scale = math.nextafter(scale, 0.0)
-        input_dist = _sorted_input(scale * pts, probs)
-    report = secrecy_rate(chan, input_dist)
+    report = secrecy_rate(chan, best[3])
     return OptimizeResult(
-        input=input_dist, report=report, power_budget=j, trace=tuple(trace)
+        input=best[3], report=report, power_budget=j, trace=tuple(trace)
     )
 
 

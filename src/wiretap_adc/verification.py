@@ -12,6 +12,7 @@ The CLI's verify subcommand runs all suites and maps any failure to a
 non-zero exit code.
 """
 
+import cmath
 import logging
 import math
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from scipy.special import ndtr
 from . import optimizer as optimizer_mod
 from .achievability import (
     ConstructOptions,
+    _far_points,
     achieve,
     qpsk_bound,
     zchannel_limit,
@@ -31,6 +33,7 @@ from .channel import ComplexGain, WiretapChannel, q_function, transition_matrix
 from .errors import SweepExhaustedError, ValidationError
 from .infotheory import (
     DiscreteInput,
+    _rate_arrays,
     binary_entropy,
     folding_functions,
     information_density,
@@ -294,10 +297,6 @@ def _convergence_threshold(chan, result):
 
 def _limit_deviation(chan, result, max_doublings=40):
     """Worst |exact - limit| over schedule amplitudes past the threshold."""
-    import cmath
-
-    from .infotheory import _rate_arrays
-
     if result.regime != "limit":
         return None, 0
     threshold = _convergence_threshold(chan, result)
@@ -310,18 +309,11 @@ def _limit_deviation(chan, result, max_doublings=40):
         near = complex(result.a)
     worst = 0.0
     checked = 0
-    base = max(abs(result.a), 1.0)
-    from .achievability import _saturated
-
-    for k in range(max_doublings + 1):
-        far_amp = base * 2.0**k
-        far = complex(far_amp * direction)
+    for far_amp, far in _far_points(chan, result.a, direction, max_doublings):
         if far_amp >= threshold and far != near:
             i1, i2 = _rate_arrays(chan, (near, far), (result.phi, 1.0 - result.phi))
             worst = max(worst, abs((i1 - i2) - result.limit_rate))
             checked += 1
-        if _saturated(chan, far, direction):
-            break
     return worst, checked
 
 

@@ -473,10 +473,17 @@ def test_c10_kkt_residuals(kkt_problems):
 
 
 def test_c10_optimizer_outputs_meet_the_budget(kkt_problems):
-    # E[X^2] as DiscreteInput.power computes it, with no tolerance
+    # E[X^2] as DiscreteInput.power computes it, with no tolerance, for the
+    # returned input and for the power each per-restart trace row records
     over = [
         (case, result.input.power, j)
         for case, (_, j, result) in enumerate(kkt_problems)
         if result.input.power > j
+    ]
+    over += [
+        (case, row, j)
+        for case, (_, j, result) in enumerate(kkt_problems)
+        for row in result.trace
+        if row[4] > j
     ]
     assert not over

@@ -219,7 +219,45 @@ class TestConstruct:
         assert diag["rate_floor"] == 1e-9
         assert diag["best_rate"] <= 1e-9
         assert diag["evaluations"] > 0
+        # the canonical schedule's first far point repeats the near point and
+        # is already saturated, so that stage evaluates nothing
+        assert diag["stage_evaluations"] == {"canonical": 0, "extended": 300}
         assert "channel" in diag
+
+    @pytest.mark.parametrize(
+        "seed, mode, first_rows",
+        [
+            ([1, 1, 0], "complex", 9),  # canonical far schedule
+            ([1, 1, 1], "real", 54),  # extended real ray
+            ([1, 1, 10], "complex", 405),  # extended complex ray
+            ([1, 1, 28], "complex", 1405),  # split pair
+            ([5, 5, 57], "real", 299),  # riding pair: phi 0.3 after 0.5 missed
+            ([1, 1, 7], "real", None),  # real exhaustion after 300 evaluations
+        ],
+        ids=["canonical", "real-ray", "complex-ray", "split-pair", "riding-pair", "exhausted"],
+    )
+    def test_first_mode_stops_at_the_first_step_with_a_hit(self, seed, mode, first_rows):
+        chan = criterion1_channel(np.random.default_rng(seed), mode)
+        first_opts = ConstructOptions(keep_trace=True)
+        best_opts = ConstructOptions(mode="best", keep_trace=True)
+        if first_rows is None:
+            with pytest.raises(SweepExhaustedError) as first:
+                construct_positive_rate(chan, first_opts)
+            with pytest.raises(SweepExhaustedError) as best:
+                construct_positive_rate(chan, best_opts)
+            assert first.value.diagnostics["evaluations"] == 300
+            assert first.value.diagnostics == best.value.diagnostics
+            return
+        first = construct_positive_rate(chan, first_opts)
+        best = construct_positive_rate(chan, best_opts)
+        assert len(first.trace) == first_rows
+        assert best.trace[:first_rows] == first.trace
+        # every row above the floor belongs to the last step evaluated, which
+        # shares one amplitude; the returned candidate is its smallest phi
+        hits = [row for row in first.trace if row[4] > 1e-9]
+        assert {row[0] for row in hits} == {first.trace[-1][0]}
+        _, phi, _, _, rs, _ = min(hits, key=lambda row: row[1])
+        assert (first.phi, first.exact_rate.rs) == (phi, rs)
 
     def test_options_validation(self):
         with pytest.raises(ValidationError):
