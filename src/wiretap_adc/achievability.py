@@ -21,11 +21,16 @@ eavesdropper corner cell but not a legitimate quadrant.  Mode "first" returns
 the smallest-(amplitude, phi) candidate above the floor in the first step
 that has one; mode "best" runs whole stages and returns the best candidate
 once a stage ends with it above the floor.
+
+Both receivers' transition rows are built once per (near, far) pair: the
+candidates of a step, which differ only in phi, share them, and so do the
+crossover and saturation lookups of the near and far points.
 """
 
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 from . import channel as channel_mod
 from .adc import ComplexAdcPair, is_symmetric_one_bit, one_bit_pair, shift_thresholds
@@ -33,7 +38,9 @@ from .errors import EqualGainError, SweepExhaustedError, ValidationError
 from .infotheory import (
     DiscreteInput,
     RateReport,
-    _rate_arrays,
+    _rate_arrays,  # unused here; bench/layers.py patches this binding by name
+    _rates_from_rows,
+    _receiver_rows,
     binary_entropy,
     secrecy_rate,
     z_rate,
@@ -222,12 +229,14 @@ def _limit_cell_indices(chan, direction):
     return tuple(indices)
 
 
-def _z_crossovers(chan, near_point, direction):
-    """(p1, p2) looked up from the exact transition rows of the near point."""
+def _limit_mass(chan, direction, rows, k):
+    """(legit, eave) mass that point k of _receiver_rows output puts in the limit cells.
+
+    For a near point these are the Z-channel crossovers (p1, p2); a far point
+    is saturated once both are 1.
+    """
     idx1, idx2 = _limit_cell_indices(chan, direction)
-    p1 = float(channel_mod.transition_row(chan, "legit", near_point)[idx1])
-    p2 = float(channel_mod.transition_row(chan, "eave", near_point)[idx2])
-    return p1, p2
+    return float(rows[0][k, idx1]), float(rows[1][k, idx2])
 
 
 def crossover_probs(chan, theta, a):
@@ -243,13 +252,13 @@ def crossover_probs(chan, theta, a):
     if not chan.has_symmetric_one_bit_legit():
         raise ValidationError("crossover_probs needs a symmetric one-bit legitimate receiver")
     if chan.mode == "real":
-        sign = 1.0 if chan.w2.re > 0.0 else -1.0
-        return _z_crossovers(chan, complex(sign * a, 0.0), sign)
-    theta = require_finite("theta", theta)
-    if not 0.0 < theta <= math.pi / 4.0:
-        raise ValidationError(f"theta must lie in (0, pi/4], got {theta!r}")
-    direction = cmath.rect(1.0, theta - chan.w2.phase)
-    return _z_crossovers(chan, a * direction, direction)
+        direction = 1.0 if chan.w2.re > 0.0 else -1.0
+    else:
+        theta = require_finite("theta", theta)
+        if not 0.0 < theta <= math.pi / 4.0:
+            raise ValidationError(f"theta must lie in (0, pi/4], got {theta!r}")
+        direction = cmath.rect(1.0, theta - chan.w2.phase)
+    return _limit_mass(chan, direction, _receiver_rows(chan, (complex(a * direction),)), 0)
 
 
 def choose_amplitude(chan, theta=None):
@@ -281,7 +290,12 @@ def zchannel_limit(phi, p1, p2):
 
 
 class _Sweep:
-    """Step evaluator tracking the running best and optional trace."""
+    """Step evaluator tracking the running best and optional trace.
+
+    It keeps both receivers' rows of the last (near, far) pair it was asked
+    for, so each distinct pair's rows are built once however many phis,
+    consecutive steps and lookups share it.
+    """
 
     def __init__(self, chan, options):
         self.chan = chan
@@ -289,12 +303,20 @@ class _Sweep:
         self.trace = [] if options.keep_trace else None
         self.best = None  # (rs, sort_key, candidate)
         self.evaluations = 0
+        self._pair = self._rows = None
+
+    def rows(self, near, far):
+        """_receiver_rows of (near, far), rebuilt only when the pair changes."""
+        if self._pair != (near, far):
+            self._pair = (near, far)
+            self._rows = _receiver_rows(self.chan, self._pair)
+        return self._rows
 
     def consider(self, near, far, phi, sort_key, meta):
         """Evaluate one pair; returns the candidate when it clears the floor."""
         if near == far:
             return None
-        i1, i2 = _rate_arrays(self.chan, (near, far), (phi, 1.0 - phi))
+        i1, i2 = _rates_from_rows((phi, 1.0 - phi), self.rows(near, far))
         rs = i1 - i2
         self.evaluations += 1
         if self.trace is not None:
@@ -325,25 +347,20 @@ def _pair_power(near, far, phi):
     return phi * abs(near) ** 2 + (1.0 - phi) * abs(far) ** 2
 
 
-def _saturated(chan, far_point, direction):
-    """True once the far point's rows put all mass in the limit cells."""
-    idx1, idx2 = _limit_cell_indices(chan, direction)
-    row1 = channel_mod.transition_row(chan, "legit", far_point)
-    row2 = channel_mod.transition_row(chan, "eave", far_point)
-    return row1[idx1] == 1.0 and row2[idx2] == 1.0
-
-
-def _far_points(chan, near_amp, direction, max_doublings):
+def _far_points(chan, near_amp, direction, max_doublings, far_rows=None):
     """(far_amp, far point) at max(|near_amp|, 1) * 2^k along direction.
 
-    Stops after the first far point whose rows are saturated.
+    Stops after the first far point whose rows put all mass in the limit
+    cells.  far_rows(far) returns row stacks whose last rows are the far
+    point's; by default they are built afresh.
     """
+    far_rows = far_rows or (lambda far: _receiver_rows(chan, (far,)))
     base = max(abs(near_amp), 1.0)
     for k in range(max_doublings + 1):
         far_amp = base * 2.0**k
         far = complex(far_amp * direction)
         yield far_amp, far
-        if _saturated(chan, far, direction):
+        if _limit_mass(chan, direction, far_rows(far), -1) == (1.0, 1.0):
             return
 
 
@@ -386,22 +403,22 @@ def construct_positive_rate(chan, options=None):
     if chan.w1.magnitude == chan.w2.magnitude:
         raise EqualGainError("equal gain magnitudes: |w1| == |w2|")
 
+    sweep = _Sweep(chan, options)
     if chan.mode == "real":
         alignment = None
         direction = 1.0 if chan.w2.re > 0.0 else -1.0
-        canonical = _ray_steps(chan, options, choose_amplitude(chan), direction, 0.0, None, "limit")
+        canonical = _ray_steps(sweep, choose_amplitude(chan), direction, 0.0, None, "limit")
     else:
         alignment = align_phase(chan.w1, chan.w2)
         a = choose_amplitude(chan, alignment.theta)
         direction = cmath.rect(1.0, alignment.capital_phi)
-        canonical = _ray_steps(chan, options, a, direction, alignment.capital_phi, 0, "limit")
+        canonical = _ray_steps(sweep, a, direction, alignment.capital_phi, 0, "limit")
 
-    sweep = _Sweep(chan, options)
     stages = [("canonical", canonical)]
     if options.extended:
-        stages.append(("extended", _extended_steps(chan, options, alignment)))
+        stages.append(("extended", _extended_steps(sweep, alignment)))
         if chan.mode == "complex" and alignment.theta < math.pi / 4.0:
-            stages.append(("split_pair", _split_pair_steps(chan, options, alignment)))
+            stages.append(("split_pair", _split_pair_steps(sweep, alignment)))
     stage_evaluations = {}
     for name, steps in stages:
         before = sweep.evaluations
@@ -462,20 +479,27 @@ def _result(chan, alignment, candidate, trace):
     )
 
 
-def _ray_steps(chan, options, near_amp, direction, line_angle, ray, regime):
-    """One step per far amplitude of the schedule: the whole phi grid there."""
+def _ray_steps(sweep, near_amp, direction, line_angle, ray, regime):
+    """One step per far amplitude of the schedule: the whole phi grid there.
+
+    The crossovers come from the near point's rows in the first step's pair.
+    """
+    chan, options = sweep.chan, sweep.options
     near = complex(near_amp * direction)
-    p1, p2 = _z_crossovers(chan, near, direction)
-    limits = {phi: zchannel_limit(phi, p1, p2) for phi in options.phi_grid}
-    meta = {"ray": ray, "line_angle": line_angle, "regime": regime, "p1": p1, "p2": p2}
-    for far_amp, far in _far_points(chan, near_amp, direction, options.max_doublings):
+    far_rows = partial(sweep.rows, near)
+    meta = None
+    for far_amp, far in _far_points(chan, near_amp, direction, options.max_doublings, far_rows):
+        if meta is None:
+            p1, p2 = _limit_mass(chan, direction, sweep.rows(near, far), 0)
+            limits = {phi: zchannel_limit(phi, p1, p2) for phi in options.phi_grid}
+            meta = {"ray": ray, "line_angle": line_angle, "regime": regime, "p1": p1, "p2": p2}
         yield [
             (near, far, phi, (far_amp, phi), dict(meta, limit=limits[phi]))
             for phi in options.phi_grid
         ]
 
 
-def _extended_steps(chan, options, alignment):
+def _extended_steps(sweep, alignment):
     """Deterministic fallback steps beyond the canonical margin rule.
 
     First alternative near amplitudes rerun the far schedule on each
@@ -485,6 +509,7 @@ def _extended_steps(chan, options, alignment):
     (0.5, 0.3, 0.7) order, which covers eavesdropper-pinning inputs the
     schedule cannot reach.
     """
+    chan, options = sweep.chan, sweep.options
     s = chan.w2.magnitude - chan.w1.magnitude
     if chan.mode == "complex":
         base = alignment.capital_phi
@@ -505,7 +530,7 @@ def _extended_steps(chan, options, alignment):
             if not math.isfinite(amp) or amp in seen:
                 continue
             seen.add(amp)
-            yield from _ray_steps(chan, options, amp, direction, line_angle, ray, "searched")
+            yield from _ray_steps(sweep, amp, direction, line_angle, ray, "searched")
 
     pair_phis = [p for p in (0.5, 0.3, 0.7) if p in options.phi_grid] or [options.phi_grid[0]]
     for direction, line_angle, ray in lines:
@@ -519,7 +544,7 @@ def _extended_steps(chan, options, alignment):
                 -direction if chan.mode == "complex" else -1.0
             )
             near, far = complex(near_amp * direction), complex(far_amp * direction)
-            p1, p2 = _z_crossovers(chan, near, far_dir)
+            p1, p2 = _limit_mass(chan, far_dir, sweep.rows(near, far), 0)
             meta = {
                 "ray": ray,
                 "line_angle": line_angle,
@@ -532,7 +557,7 @@ def _extended_steps(chan, options, alignment):
                 yield [(near, far, phi, (abs(far_amp), phi), meta)]
 
 
-def _split_pair_steps(chan, options, alignment):
+def _split_pair_steps(sweep, alignment):
     """Near point on the canonical ray, far point half a quarter-turn further.
 
     With theta < pi/4 the eavesdropper sees both rays inside its first
@@ -541,13 +566,14 @@ def _split_pair_steps(chan, options, alignment):
     corner cell but into different legitimate cells, and the rate tends to
     h(phi).  One (amplitude, phi) step at a time, phi in grid order.
     """
+    chan, options = sweep.chan, sweep.options
     near_dir = cmath.rect(1.0, alignment.capital_phi)
     far_angle = alignment.capital_phi + QUARTER / 2.0
     far_dir = cmath.rect(1.0, far_angle)
     for k in range(options.max_doublings + 1):
         amp = 2.0**k
         near, far = complex(amp * near_dir), complex(amp * far_dir)
-        p1, p2 = _z_crossovers(chan, near, far_dir)
+        p1, p2 = _limit_mass(chan, far_dir, sweep.rows(near, far), 0)
         meta = {
             "ray": None,
             "line_angle": alignment.capital_phi,

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
+from scipy.special import ndtr
 
 from .adc import ComplexAdcPair, is_symmetric_one_bit
 from .errors import ValidationError
@@ -155,12 +155,6 @@ def q_function(x):
     """Standard normal tail Q(x) = P(N > x), via the complementary error function."""
     x = require_finite("x", x)
     return float(ndtr(-x))
-
-
-def log_q_function(x):
-    """log Q(x); stays accurate where Q itself underflows."""
-    x = require_finite("x", x)
-    return float(log_ndtr(-x))
 
 
 def _cells(spec, means):

@@ -16,8 +16,6 @@ from .util import complex_from_json, complex_to_json, require_finite
 
 PROB_SUM_TOL = 1e-12
 
-LN2 = math.log(2.0)
-
 
 @dataclass(frozen=True)
 class DiscreteInput:
@@ -125,17 +123,23 @@ def mutual_information(input_dist, matrix):
     return _mutual_information_arrays(input_dist.probs, matrix.probs)
 
 
+def _receiver_rows(chan, points):
+    """(legit rows, eave rows): one transition row per point at each receiver."""
+    return tuple(channel_mod.transition_rows(chan, r, points) for r in channel_mod.RECEIVERS)
+
+
+def _rates_from_rows(probs, rows):
+    """(i1, i2) from _receiver_rows output under the input law probs."""
+    return tuple(_mutual_information_arrays(probs, w) for w in rows)
+
+
 def _rate_arrays(chan, points, probs):
     """(i1, i2) from raw support arrays; skips DiscreteInput validation.
 
     Used by the optimizer, whose search iterates may contain coincident
     points; values are bit-identical to secrecy_rate on a clean input.
     """
-    w1_rows = channel_mod.transition_rows(chan, "legit", points)
-    w2_rows = channel_mod.transition_rows(chan, "eave", points)
-    i1 = _mutual_information_arrays(probs, w1_rows)
-    i2 = _mutual_information_arrays(probs, w2_rows)
-    return i1, i2
+    return _rates_from_rows(probs, _receiver_rows(chan, points))
 
 
 def secrecy_rate(chan, input_dist):
@@ -217,31 +221,3 @@ def folding_functions(input_dist, w):
     d = 0.5 * (q_signed - q_folded)
     f_val = binary_entropy(max(0.0, c - d)) - binary_entropy(min(1.0, c + d))
     return c, d, f_val
-
-
-def gaussian_reference_rates(w1, w2, power_budget):
-    """Unquantized complex Gaussian baseline [log2(1+|w1|^2 J/2) - log2(1+|w2|^2 J/2)]+."""
-    j = require_finite("power_budget", power_budget)
-    if j <= 0.0:
-        raise ValidationError(f"power budget must be positive, got {j!r}")
-    gap = (
-        math.log1p(w1.magnitude**2 * j / 2.0) - math.log1p(w2.magnitude**2 * j / 2.0)
-    ) / LN2
-    return max(0.0, gap)
-
-
-def one_bit_p2p_capacity(w, power_budget, mode):
-    """Point-to-point capacity through sign quantizers at power J.
-
-    real mode: 1 - h(Q(|w| sqrt(J))); complex mode doubles the per-component
-    value at half the power.
-    """
-    j = require_finite("power_budget", power_budget)
-    if j <= 0.0:
-        raise ValidationError(f"power budget must be positive, got {j!r}")
-    if mode == "real":
-        return 1.0 - binary_entropy(channel_mod.q_function(w.magnitude * math.sqrt(j)))
-    if mode == "complex":
-        per = channel_mod.q_function(w.magnitude * math.sqrt(j / 2.0))
-        return 2.0 * (1.0 - binary_entropy(per))
-    raise ValidationError(f"mode must be 'real' or 'complex', got {mode!r}")

@@ -23,14 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from . import channel as channel_mod
 from .adc import is_symmetric_one_bit
 from .errors import EqualGainError, SweepExhaustedError, ValidationError
 from .infotheory import (
     DiscreteInput,
     RateReport,
-    _mutual_information_arrays,
     _rate_arrays,
+    _rates_from_rows,
+    _receiver_rows,
     information_densities,
     secrecy_rate,
 )
@@ -481,12 +481,9 @@ def kkt_check(chan, input_dist, power_budget, grid_points=2001):
     grid = np.linspace(-radius, radius, grid_points)
 
     # one row stack per receiver: the support's rows, then the grid's
-    rates, dens = [], []
-    for receiver in ("legit", "eave"):
-        rows = channel_mod.transition_rows(chan, receiver, np.concatenate([xs, grid]))
-        rates.append(_mutual_information_arrays(probs, rows[:n]))
-        dens.append(information_densities(rows, probs @ rows[:n]))
-    i1, i2 = rates
+    rows = _receiver_rows(chan, np.concatenate([xs, grid]))
+    i1, i2 = _rates_from_rows(probs, [w[:n] for w in rows])
+    dens = [information_densities(w, probs @ w[:n]) for w in rows]
     report = RateReport(i1=i1, i2=i2, rs=i1 - i2, power=input_dist.power)
     with np.errstate(invalid="ignore"):  # inf - inf is handled in _residuals
         d_support, d_grid = np.split(dens[0] - dens[1], [n])

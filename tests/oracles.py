@@ -22,10 +22,6 @@ def q_oracle(x):
     return float(mp.ncdf(-mp.mpf(x)))
 
 
-def log_q_oracle(x):
-    return float(mp.log(mp.ncdf(-mp.mpf(x))))
-
-
 def h_oracle(p):
     """Binary entropy in bits."""
     p = mp.mpf(p)

@@ -135,6 +135,17 @@ def test_c01_construction_positivity(construction_runs):
     assert not failures
 
 
+def test_c01_reported_rates_equal_fresh_secrecy_rates(construction_runs):
+    """The construction's rates, evaluated from shared rows, are secrecy_rate's bits."""
+    runs, _ = construction_runs
+    returned = [(case, chan, result) for case, chan, result, _ in runs if result is not None]
+    assert returned
+    for case, chan, result in returned:
+        fresh = secrecy_rate(chan, result.input)
+        for field in ("i1", "i2", "rs", "power"):
+            assert getattr(result.exact_rate, field) == getattr(fresh, field), (case, field)
+
+
 def _random_complex_input(rng):
     n = int(rng.integers(2, 5))
     while True:

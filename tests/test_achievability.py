@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from helpers import criterion1_channel, random_adc
+from wiretap_adc import channel as channel_mod
 from wiretap_adc import (
     AdcSpec,
     ComplexAdcPair,
@@ -179,6 +180,25 @@ class TestConstruct:
             b, phi, i1, i2, rs, limit = row
             assert rs == i1 - i2
             assert 0.0 < phi < 1.0
+
+    def test_rows_built_once_per_pair(self, monkeypatch):
+        # C1 config 0: the canonical near amplitude is also the schedule's
+        # first far amplitude, so step 1 is (near, near) and evaluates
+        # nothing; step 2 evaluates 9 phis on (near, 2 near).  One
+        # transition_rows call per receiver and distinct pair gives 4 calls:
+        # the (near, near) rows serve the crossovers and the saturation check.
+        calls = []
+        original = channel_mod.transition_rows
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(channel_mod, "transition_rows", counting)
+        chan = criterion1_channel(np.random.default_rng([1, 1, 0]), "complex")
+        res = construct_positive_rate(chan, ConstructOptions(keep_trace=True))
+        assert len(res.trace) == 9
+        assert calls == ["legit", "eave"] * 2
 
     def test_rate_positive_across_random_channels(self):
         rng = np.random.default_rng(21)

@@ -14,10 +14,8 @@ from wiretap_adc import (
     WiretapChannel,
     binary_entropy,
     folding_functions,
-    gaussian_reference_rates,
     information_density,
     mutual_information,
-    one_bit_p2p_capacity,
     one_bit_pair,
     q_function,
     secrecy_rate,
@@ -109,9 +107,6 @@ def test_bpsk_one_bit_rate_frozen_value():
     )
     rep = secrecy_rate(chan, DiscreteInput((-1.0, 1.0), (0.5, 0.5)))
     assert rep.i1 == pytest.approx(oracles.BPSK_ONE_BIT_RATE_J1, abs=2e-16)
-    assert one_bit_p2p_capacity(ComplexGain(1.0), 1.0, "real") == pytest.approx(
-        oracles.BPSK_ONE_BIT_RATE_J1, abs=2e-16
-    )
 
 
 def test_z_rate_matches_explicit_z_channel():
@@ -188,30 +183,6 @@ def test_folding_functions_requires_positive_gain_and_real_input():
         folding_functions(dist, -1.0)
     with pytest.raises(ValidationError):
         folding_functions(DiscreteInput((1j,), (1.0,)), 1.0)
-
-
-def test_gaussian_reference_rates():
-    w1, w2 = ComplexGain(2.0), ComplexGain(1.0)
-    want = math.log2(1.0 + 4.0 * 3.0 / 2.0) - math.log2(1.0 + 3.0 / 2.0)
-    assert gaussian_reference_rates(w1, w2, 3.0) == pytest.approx(want, rel=1e-15)
-    # degraded direction clamps at zero
-    assert gaussian_reference_rates(w2, w1, 3.0) == 0.0
-    with pytest.raises(ValidationError):
-        gaussian_reference_rates(w1, w2, 0.0)
-
-
-def test_one_bit_p2p_capacity_modes():
-    w = ComplexGain(1.2)
-    real = one_bit_p2p_capacity(w, 2.0, "real")
-    assert real == pytest.approx(
-        1.0 - binary_entropy(oracles.q_oracle(1.2 * math.sqrt(2.0))), abs=1e-14
-    )
-    cplx = one_bit_p2p_capacity(w, 2.0, "complex")
-    assert cplx == pytest.approx(
-        2.0 * (1.0 - binary_entropy(oracles.q_oracle(1.2))), abs=1e-14
-    )
-    with pytest.raises(ValidationError):
-        one_bit_p2p_capacity(w, 2.0, "both")
 
 
 def test_discrete_input_validation():
