@@ -22,9 +22,10 @@ the smallest-(amplitude, phi) candidate above the floor in the first step
 that has one; mode "best" runs whole stages and returns the best candidate
 once a stage ends with it above the floor.
 
-Both receivers' transition rows are built once per (near, far) pair: the
-candidates of a step, which differ only in phi, share them, and so do the
-crossover and saturation lookups of the near and far points.
+Both receivers' transition rows are built once per (near, far) pair, and
+one batched kernel call per receiver scores every phi of the grid on them;
+the crossover and saturation lookups of the near and far points share the
+rows too.
 """
 
 import cmath
@@ -293,7 +294,8 @@ class _Sweep:
     """Step evaluator tracking the running best and optional trace.
 
     It keeps both receivers' rows of the last (near, far) pair it was asked
-    for, so each distinct pair's rows are built once however many phis,
+    for and, from the pair's first candidate on, its rates at every grid phi,
+    so each distinct pair is built and scored once however many phis,
     consecutive steps and lookups share it.
     """
 
@@ -303,20 +305,25 @@ class _Sweep:
         self.trace = [] if options.keep_trace else None
         self.best = None  # (rs, sort_key, candidate)
         self.evaluations = 0
-        self._pair = self._rows = None
+        self._pair = self._rows = self._rates = None
 
     def rows(self, near, far):
         """_receiver_rows of (near, far), rebuilt only when the pair changes."""
         if self._pair != (near, far):
             self._pair = (near, far)
             self._rows = _receiver_rows(self.chan, self._pair)
+            self._rates = None
         return self._rows
 
     def consider(self, near, far, phi, sort_key, meta):
         """Evaluate one pair; returns the candidate when it clears the floor."""
         if near == far:
             return None
-        i1, i2 = _rates_from_rows((phi, 1.0 - phi), self.rows(near, far))
+        rows = self.rows(near, far)
+        if self._rates is None:
+            grid = self.options.phi_grid
+            self._rates = dict(zip(grid, _rates_from_rows([(p, 1.0 - p) for p in grid], rows)))
+        i1, i2 = self._rates[phi]
         rs = i1 - i2
         self.evaluations += 1
         if self.trace is not None:

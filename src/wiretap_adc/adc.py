@@ -60,12 +60,6 @@ class AdcSpec:
         hi = np.concatenate((t, [np.inf]))
         return lo, hi
 
-    def cell_of(self, x):
-        """Index of the half-open cell [q_{l-1}, q_l) containing x."""
-        x = require_finite("x", x)
-        # side="right" puts x == q_l into the upper cell.
-        return int(np.searchsorted(self.thresholds, x, side="right"))
-
     def to_json(self):
         return {"thresholds": list(self.thresholds), "outputs": list(self.outputs)}
 
@@ -110,15 +104,12 @@ def one_bit_pair():
     return ComplexAdcPair(one_bit(), one_bit())
 
 
-def quantize(spec, x):
-    """Output label for sample x; boundaries belong to the upper cell."""
-    return spec.outputs[spec.cell_of(x)]
-
-
 def shift_thresholds(spec, delta):
     """Decrease every threshold by delta, keeping the labels.
 
-    quantize(shift_thresholds(spec, d), x - d) == quantize(spec, x) for all x.
+    A sample x - delta lands in the same cell of the shifted spec as x does
+    in spec, so moving the thresholds and a Gaussian mean down by delta
+    together leaves every cell probability unchanged.
     """
     delta = require_finite("delta", delta)
     return AdcSpec(tuple(t - delta for t in spec.thresholds), spec.outputs)

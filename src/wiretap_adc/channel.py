@@ -157,16 +157,17 @@ def q_function(x):
     return float(ndtr(-x))
 
 
-def _cells(spec, means):
+def _cells(specs, means):
     """Probability of each cell for Gaussian(mean, 1) samples; stable in the tails.
 
-    For cell (lo, hi) with a = lo - mean and b = hi - mean the difference of
-    tails is taken in the direction that avoids cancellation: right tail when
-    a >= 0, left tail when b <= 0, and 1 minus both tails when the mean is
-    inside the cell.
+    Row i holds the cells of every ADC in specs side by side, those of specs[j]
+    for mean means[i, j].  For cell (lo, hi) with a = lo - mean and b = hi - mean
+    the difference of tails is taken in the direction that avoids cancellation:
+    right tail when a >= 0, left tail when b <= 0, and 1 minus both tails when
+    the mean is inside the cell.
     """
-    m = np.asarray(means, dtype=float)[:, None]
-    lo, hi = spec.cell_edges()
+    lo, hi = (np.concatenate(e) for e in zip(*(spec.cell_edges() for spec in specs)))
+    m = np.repeat(np.asarray(means, dtype=float), [spec.levels for spec in specs], axis=1)
     a = lo[None, :] - m
     b = hi[None, :] - m
     out = np.where(
@@ -203,8 +204,8 @@ def transition_row(channel, receiver, x):
 def transition_rows(channel, receiver, xs):
     """Output distributions for many inputs, one row per input.
 
-    Complex-mode rows are the outer product of the two component rows,
-    flattened row-major to match output_alphabet.
+    Complex-mode rows are the outer product of the two component rows (one
+    _cells call), flattened row-major to match output_alphabet.
     """
     xs = [complex(x) for x in xs]
     pair = channel.adc_for(receiver)
@@ -214,11 +215,11 @@ def transition_rows(channel, receiver, xs):
             if x.imag != 0.0:
                 raise ValidationError(f"real-mode input must be real, got {x}")
         means = np.array([w.re * x.real for x in xs])
-        return _cells(pair.real_part, means)
+        return _cells((pair.real_part,), means[:, None])
     wx = np.array([w.value * x for x in xs])
-    rows_r = _cells(pair.real_part, wx.real)
-    rows_i = _cells(pair.imag_part, wx.imag)
-    return np.einsum("xr,xi->xri", rows_r, rows_i).reshape(len(xs), -1)
+    cells = _cells((pair.real_part, pair.imag_part), np.stack((wx.real, wx.imag), axis=1))
+    k = pair.real_part.levels
+    return np.einsum("xr,xi->xri", cells[:, :k], cells[:, k:]).reshape(len(xs), -1)
 
 
 def transition_matrix(channel, receiver, input_dist):

@@ -97,9 +97,8 @@ def binary_entropy(p):
 
 
 def _entropy_terms(w, ref):
-    """Elementwise w*log2(w/ref) with zero weight giving zero."""
+    """Elementwise w*log2(w/ref), broadcast, with zero weight giving zero."""
     w = np.asarray(w, dtype=float)
-    ref = np.broadcast_to(np.asarray(ref, dtype=float), w.shape)
     safe_w = np.where(w > 0.0, w, 1.0)
     safe_ref = np.where(ref > 0.0, ref, 1.0)
     # zero-weight cells may still divide tiny/tiny; they are masked below
@@ -107,20 +106,23 @@ def _entropy_terms(w, ref):
         return np.where(w > 0.0, w * np.log2(safe_w / safe_ref), 0.0)
 
 
-def _mutual_information_arrays(probs, W):
-    probs = np.asarray(probs, dtype=float)
+def _mutual_information_arrays(laws, W):
+    """I(X;Y) in bits under each input law, a row of laws (B, n), for rows W (n, K)."""
+    laws = np.asarray(laws, dtype=float)
     W = np.asarray(W, dtype=float)
-    py = probs @ W
-    terms = _entropy_terms(W, py[None, :])
-    terms = np.where(probs[:, None] > 0.0, terms, 0.0)
-    return max(0.0, float(probs @ terms.sum(axis=1)))
+    # stacked products give each law the same vector products, and so the
+    # same bits, as a one-law call
+    py = laws[:, None, :] @ W
+    terms = np.where(laws[:, :, None] > 0.0, _entropy_terms(W[None], py), 0.0)
+    info = laws[:, None, :] @ terms.sum(axis=2)[:, :, None]
+    return [max(0.0, float(i)) for i in info.ravel()]  # max maps NaN and -0.0 to 0.0
 
 
 def mutual_information(input_dist, matrix):
     """I(X;Y) in bits for a discrete input and a transition matrix."""
     if matrix.inputs != input_dist.points:
         raise ValidationError("matrix rows are not aligned with the input support")
-    return _mutual_information_arrays(input_dist.probs, matrix.probs)
+    return _mutual_information_arrays([input_dist.probs], matrix.probs)[0]
 
 
 def _receiver_rows(chan, points):
@@ -128,9 +130,9 @@ def _receiver_rows(chan, points):
     return tuple(channel_mod.transition_rows(chan, r, points) for r in channel_mod.RECEIVERS)
 
 
-def _rates_from_rows(probs, rows):
-    """(i1, i2) from _receiver_rows output under the input law probs."""
-    return tuple(_mutual_information_arrays(probs, w) for w in rows)
+def _rates_from_rows(laws, rows):
+    """[(i1, i2) under each input law] from _receiver_rows output; one kernel call per receiver."""
+    return list(zip(*(_mutual_information_arrays(laws, w) for w in rows)))
 
 
 def _rate_arrays(chan, points, probs):
@@ -139,7 +141,7 @@ def _rate_arrays(chan, points, probs):
     Used by the optimizer, whose search iterates may contain coincident
     points; values are bit-identical to secrecy_rate on a clean input.
     """
-    return _rates_from_rows(probs, _receiver_rows(chan, points))
+    return _rates_from_rows([probs], _receiver_rows(chan, points))[0]
 
 
 def secrecy_rate(chan, input_dist):

@@ -482,7 +482,7 @@ def kkt_check(chan, input_dist, power_budget, grid_points=2001):
 
     # one row stack per receiver: the support's rows, then the grid's
     rows = _receiver_rows(chan, np.concatenate([xs, grid]))
-    i1, i2 = _rates_from_rows(probs, [w[:n] for w in rows])
+    i1, i2 = _rates_from_rows([probs], [w[:n] for w in rows])[0]
     dens = [information_densities(w, probs @ w[:n]) for w in rows]
     report = RateReport(i1=i1, i2=i2, rs=i1 - i2, power=input_dist.power)
     with np.errstate(invalid="ignore"):  # inf - inf is handled in _residuals

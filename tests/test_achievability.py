@@ -7,6 +7,7 @@ import pytest
 import oracles
 from helpers import criterion1_channel, random_adc
 from wiretap_adc import channel as channel_mod
+from wiretap_adc import infotheory as infotheory_mod
 from wiretap_adc import (
     AdcSpec,
     ComplexAdcPair,
@@ -187,18 +188,29 @@ class TestConstruct:
         # nothing; step 2 evaluates 9 phis on (near, 2 near).  One
         # transition_rows call per receiver and distinct pair gives 4 calls:
         # the (near, near) rows serve the crossovers and the saturation check.
+        # Each of those builds takes one _cells call for both quantizer
+        # components, and the 9 phis take one batched kernel call per receiver.
         calls = []
-        original = channel_mod.transition_rows
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return original(*args, **kwargs)
+        def count(module, name):
+            original = getattr(module, name)
 
-        monkeypatch.setattr(channel_mod, "transition_rows", counting)
+            def counted(*args, **kwargs):
+                calls.append((name, args))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(channel_mod, "transition_rows")
+        count(channel_mod, "_cells")
+        count(infotheory_mod, "_mutual_information_arrays")
         chan = criterion1_channel(np.random.default_rng([1, 1, 0]), "complex")
         res = construct_positive_rate(chan, ConstructOptions(keep_trace=True))
         assert len(res.trace) == 9
-        assert calls == ["legit", "eave"] * 2
+        rows = [args[1] for name, args in calls if name == "transition_rows"]
+        assert rows == ["legit", "eave"] * 2
+        assert sum(name == "_cells" for name, _ in calls) == 4
+        assert sum(name == "_mutual_information_arrays" for name, _ in calls) == 2
 
     def test_rate_positive_across_random_channels(self):
         rng = np.random.default_rng(21)

@@ -1,16 +1,20 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from wiretap_adc import (
     MAX_LEVELS,
     AdcSpec,
     ComplexAdcPair,
+    ComplexGain,
     ValidationError,
+    WiretapChannel,
     is_symmetric_one_bit,
     one_bit,
     one_bit_pair,
-    quantize,
     shift_thresholds,
+    transition_rows,
 )
 
 
@@ -18,19 +22,6 @@ def test_one_bit_is_the_sign_quantizer():
     spec = one_bit()
     assert spec.thresholds == (0.0,)
     assert spec.outputs == (-1.0, 1.0)
-    assert quantize(spec, -0.3) == -1.0
-    assert quantize(spec, 0.3) == 1.0
-    # the boundary belongs to the upper cell
-    assert quantize(spec, 0.0) == 1.0
-
-
-def test_quantize_multi_level():
-    spec = AdcSpec((-1.0, 0.5, 2.0), (10.0, 11.0, 12.0, 13.0))
-    assert quantize(spec, -5.0) == 10.0
-    assert quantize(spec, -1.0) == 11.0
-    assert quantize(spec, 0.49) == 11.0
-    assert quantize(spec, 0.5) == 12.0
-    assert quantize(spec, 7.0) == 13.0
 
 
 def test_cell_edges_include_infinite_end_cells():
@@ -45,8 +36,20 @@ def test_shift_thresholds_commutes_with_translation():
     spec = AdcSpec((-0.5, 1.25), (0.0, 1.0, 2.0))
     shifted = shift_thresholds(spec, 0.75)
     assert shifted.thresholds == (-1.25, 0.5)
-    for x in (-2.0, -0.5, 0.0, 1.25, 3.0):
-        assert quantize(shifted, x - 0.75) == quantize(spec, x)
+    assert shifted.outputs == spec.outputs
+    # gain 1 and dyadic thresholds, shift and inputs: every edge-minus-mean
+    # difference is exact, so the rows must match bit for bit
+    chan = WiretapChannel(
+        w1=ComplexGain(1.0),
+        w2=ComplexGain(2.0),
+        legit_adc=ComplexAdcPair(spec, spec),
+        eave_adc=one_bit_pair(),
+        mode="real",
+    )
+    moved = replace(chan, legit_adc=ComplexAdcPair(shifted, shifted))
+    xs = np.array([-2.0, -0.5, 0.0, 1.25, 3.0])
+    rows = transition_rows(chan, "legit", xs)
+    assert np.array_equal(transition_rows(moved, "legit", xs - 0.75), rows)
 
 
 def test_symmetric_one_bit_predicate():
@@ -94,16 +97,3 @@ def test_adc_json_round_trip():
     assert both.real_part == spec and both.imag_part == spec
     with pytest.raises(ValidationError):
         AdcSpec.from_json({"thresholds": [0.0]})
-
-
-@given(
-    st.lists(st.floats(-5, 5), min_size=1, max_size=6, unique=True),
-    st.floats(-10, 10),
-)
-def test_quantize_monotone_in_sample(raw, x):
-    ths = tuple(sorted(raw))
-    spec = AdcSpec(ths, tuple(float(i) for i in range(len(ths) + 1)))
-    y = quantize(spec, x)
-    assert y in spec.outputs
-    # nudging the sample upward can only move the label upward
-    assert quantize(spec, x + 0.5) >= y

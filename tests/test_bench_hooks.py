@@ -7,6 +7,11 @@ benchmark run, since the bench's own tests are not part of this suite.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from helpers import criterion1_channel
+from wiretap_adc import DiscreteInput, achievability, secrecy_rate
+
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 
 
@@ -30,3 +35,18 @@ def test_tracer_patches_and_restores_every_entry_point():
             assert getattr(mod, attr).__wrapped__ is original, f"{mod.__name__}.{attr}"
     for (mod, attr), original in zip(bindings, originals):
         assert getattr(mod, attr) is original, f"{mod.__name__}.{attr}"
+
+
+def test_traced_runs_reach_every_layer_the_bench_reads():
+    # patching alone is not enough: a call path that bypasses a hooked name
+    # would leave that layer's bench metrics at 0
+    layers = _load_layers()
+    tracer = layers.Tracer()
+    complex_chan = criterion1_channel(np.random.default_rng([1, 1, 0]), "complex")
+    real_chan = criterion1_channel(np.random.default_rng([1, 1, 1]), "real")
+    with tracer.installed():
+        for chan in (complex_chan, real_chan):
+            achievability.achieve(chan)  # the module binding is the one patched
+        secrecy_rate(real_chan, DiscreteInput((0.5, 2.0), (0.5, 0.5)))
+    for name in ("L0.cells", "L1.rows", "L2.rate", "L3.achieve"):
+        assert tracer.spans[name].calls > 0, name

@@ -22,6 +22,7 @@ from wiretap_adc import (
     transition_matrix,
     z_rate,
 )
+from wiretap_adc.infotheory import _mutual_information_arrays
 
 
 def random_matrix_obj(rng, n, m):
@@ -74,6 +75,36 @@ def test_mutual_information_edge_cases():
     # zero-probability atom does not contribute
     dist0 = DiscreteInput((0j, 1 + 0j), (0.0, 1.0))
     assert mutual_information(dist0, ident) == 0.0
+
+
+def _one_law_mi(p, w):
+    """The one-law formula: P_Y = p @ W, then p @ (row sums of W log2(W / P_Y))."""
+    py = p @ w
+    ratio = np.where(w > 0.0, w, 1.0) / np.where(py > 0.0, py, 1.0)
+    terms = np.where(w > 0.0, w * np.log2(ratio), 0.0)
+    return max(0.0, float(p @ np.where(p[:, None] > 0.0, terms, 0.0).sum(axis=1)))
+
+
+@pytest.mark.parametrize("n,k,batch", [(2, 4, 9), (2, 64, 9), (64, 4096, 4)])
+def test_batched_kernel_matches_one_law_calls_bit_for_bit(n, k, batch):
+    # shapes of a construction step (two points, 2x2- and 8x8-level ADC
+    # pairs) and of the wide benchmark's 64-level complex channels
+    rng = np.random.default_rng([7, n, k])
+    for _ in range(3):
+        rows = random_stochastic_matrix(rng, n, k)
+        rows[rng.random(rows.shape) < 0.2] = 0.0
+        rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+        rows /= rows.sum(axis=1, keepdims=True)
+        laws = rng.dirichlet(np.ones(n), size=batch)
+        laws[rng.random(laws.shape) < 0.25] = 0.0
+        laws[0] = np.eye(n)[0]
+        laws[laws.sum(axis=1) == 0.0, -1] = 1.0
+        laws /= laws.sum(axis=1, keepdims=True)
+        got = _mutual_information_arrays(laws, rows)
+        assert len(got) == batch
+        for law, value in zip(laws, got):
+            assert value == _mutual_information_arrays(law[None, :], rows)[0]
+            assert value == _one_law_mi(law, rows)
 
 
 def test_mutual_information_requires_aligned_support():
