@@ -183,6 +183,15 @@ def _cells(specs, means):
     return out
 
 
+def _cell_slopes(channel, receiver, xs):
+    """d/dx of each real-mode transition_rows entry: gain * (phi(lo - w x) - phi(hi - w x))."""
+    w = channel.gain_for(receiver).re
+    lo, hi = channel.adc_for(receiver).real_part.cell_edges()
+    m = w * np.asarray(xs, dtype=float)[:, None]
+    pdf_lo, pdf_hi = (np.exp(-0.5 * (edge - m) ** 2) for edge in (lo, hi))
+    return w * (pdf_lo - pdf_hi) / math.sqrt(2.0 * math.pi)
+
+
 def output_alphabet(channel, receiver):
     """Enumerated outputs; complex mode pairs labels as y_R + j*y_I."""
     pair = channel.adc_for(receiver)

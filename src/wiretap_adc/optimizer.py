@@ -1,14 +1,14 @@
 """Numerical search for good secrecy-rate inputs on real-mode channels.
 
-The optimizer runs multi-start Nelder-Mead over a fixed support size.  Point
-locations are free coordinates, probabilities go through a softmax, and the
-power constraint is enforced by radial projection, so every evaluated iterate
-is feasible.  Restart 0 starts from a symmetric grid, restart 1 from a
-single-signed grid, restart 2 from a duty-cycled version of the constructive
-scheme's two points when one exists, and the rest from seeded random draws.
-The constructive start matters: near/far inputs with strongly skewed
-probabilities sit in a basin random boxes rarely reach.  Each restart's
-result is cleaned up (merge, prune, boundary snap) and offered fold/reflect
+The optimizer runs one SLSQP solve per restart over the points and
+probabilities of a fixed-size support, on the rate's exact gradient.  Bounds
+keep each probability in [0, 1]; the constraints are that the probabilities
+sum to 1 and that E[X^2] <= J.  Restart 0 starts from a symmetric grid,
+restart 1 from a single-signed grid, restart 2 from a duty-cycled version of
+the constructive scheme's two points when one exists, and the rest from
+seeded random draws.  The constructive start matters: near/far inputs with
+strongly skewed probabilities sit in a basin random starts rarely reach.
+Each restart's result is cleaned up (merge, prune) and offered fold/reflect
 moves before the best candidate is selected.
 
 The module also carries the analysis tools used to audit optimizer outputs:
@@ -21,9 +21,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import LinearConstraint, NonlinearConstraint, minimize
 
 from .adc import is_symmetric_one_bit
+from .channel import RECEIVERS, _cell_slopes
 from .errors import EqualGainError, SweepExhaustedError, ValidationError
 from .infotheory import (
     DiscreteInput,
@@ -41,7 +42,6 @@ logger = logging.getLogger(__name__)
 MAX_SUPPORT = 64
 _MERGE_TOL = 1e-9
 _PRUNE_TOL = 1e-12
-_SNAP_RATE_TOL = 1e-12
 _RS_TIE_TOL = 1e-12
 
 
@@ -50,7 +50,7 @@ class OptimizeConfig:
     support_size: int = 4
     restarts: int = 8
     seed: int = 0
-    max_iterations: int = 2000  # per Nelder-Mead stage
+    max_iterations: int = 2000  # SLSQP maxiter per restart
 
     def __post_init__(self):
         if not 1 <= self.support_size <= MAX_SUPPORT:
@@ -88,20 +88,26 @@ def _rates_at(chan, points, probs):
     return i1 - i2
 
 
-def _project_power(points, probs, budget):
-    """Scale points radially so the mean square power meets the budget."""
-    power = float(np.dot(probs, points * points))
-    if power <= budget or power == 0.0:
-        return points
-    scale = math.sqrt(budget / power)
-    while float(np.dot(probs, (scale * points) ** 2)) > budget:
-        scale = math.nextafter(scale, 0.0)
-    return scale * points
+def _rate_and_gradient(chan, points, probs):
+    """Secrecy rate and its gradient in (points, probs), from one row build.
 
-
-def _softmax(logits):
-    e = np.exp(logits - logits.max())
-    return e / e.sum()
+    At each receiver, with rows W and output law P_Y = probs @ W, dI/dx_i is
+    p_i sum_y W'(y|x_i) log2(W(y|x_i)/P_Y(y)), and dI/dp_i is the information
+    density of x_i less 1/ln 2, a constant that cancels in i1 - i2.  Outputs
+    P_Y never produces are left out of the densities: only rows with p_i = 0
+    reach them, where i1 - i2 would read inf - inf.
+    """
+    rows = _receiver_rows(chan, points)
+    i1, i2 = _rates_from_rows([probs], rows)[0]
+    grad = np.zeros(2 * len(points))
+    for sign, receiver, w in zip((1.0, -1.0), RECEIVERS, rows):
+        py = probs @ w
+        with np.errstate(divide="ignore"):  # log2(0) is masked by w > 0
+            log_ratio = np.where(w > 0.0, np.log2(w / np.where(py > 0.0, py, 1.0)), 0.0)
+        slope_terms = _cell_slopes(chan, receiver, points) * log_ratio
+        densities = (w * log_ratio).sum(axis=1)
+        grad += sign * np.concatenate([probs * slope_terms.sum(axis=1), densities])
+    return i1 - i2, grad
 
 
 def _cleanup(points, probs):
@@ -164,7 +170,7 @@ def _construct_seed(chan, power_budget, n):
     mixture.  So the seed re-fits the far point to the budget over a grid of
     near-point probabilities and near amplitudes (small budgets leave no
     residual for the far point unless the near point shrinks too) and keeps
-    the best candidate by exact rate.  Returns (points, logits) arrays of
+    the best candidate by exact rate.  Returns (points, probs) arrays of
     length n, or None when the scheme does not apply to this channel.
     """
     from .achievability import achieve
@@ -183,20 +189,10 @@ def _construct_seed(chan, power_budget, n):
                 continue
             refit = math.copysign(math.sqrt(residual / (1.0 - duty)), far)
             candidates.append(((shrunk, refit), (duty, 1.0 - duty)))
-    best = None
-    for pts, probs in candidates:
-        arr = np.asarray(pts)
-        weights = np.asarray(probs)
-        projected = _project_power(arr.copy(), weights, power_budget)
-        rs = _rates_at(chan, projected, weights)
-        if best is None or rs > best[0]:
-            best = (rs, projected, weights)
-    _, pts, probs = best
+    pts, probs = max(candidates, key=lambda c: _rates_at(chan, *c))
     reps = -(-n // len(pts))
-    pts_full = np.tile(pts, reps)[:n]
     probs_full = np.tile(probs, reps)[:n]
-    probs_full = probs_full / probs_full.sum()
-    return pts_full, np.log(np.maximum(probs_full, 1e-12))
+    return np.tile(pts, reps)[:n], probs_full / probs_full.sum()
 
 
 def optimize_wyner_rate(chan, power_budget, config=None):
@@ -212,59 +208,51 @@ def optimize_wyner_rate(chan, power_budget, config=None):
     if j <= 0.0:
         raise ValidationError(f"power budget must be positive, got {j!r}")
     n = config.support_size
-    root_j = math.sqrt(j)
+    # starts scale with sqrt(J), but not past where every threshold of both
+    # receivers is 8 noise deviations from w*x: cell slopes there are below
+    # phi(8) = 5e-15, and SLSQP cannot move a point
+    amplitude = min(math.sqrt(j), max(
+        (8.0 + max(map(abs, chan.adc_for(r).real_part.thresholds))) / chan.gain_for(r).magnitude
+        for r in RECEIVERS
+    ))
 
-    def unpack(vec):
-        pts = vec[:n].copy()
-        probs = _softmax(vec[n:])
-        return _project_power(pts, probs, j), probs
+    def negated(vec):
+        rs, grad = _rate_and_gradient(chan, vec[:n], vec[n:])
+        return -rs, -grad
 
-    def negrate(vec):
-        pts, probs = unpack(vec)
-        return -_rates_at(chan, pts, probs)
+    bounds = [(None, None)] * n + [(0.0, 1.0)] * n
+    simplex = LinearConstraint(np.concatenate([np.zeros(n), np.ones(n)]), 1.0, 1.0)
+    budget = NonlinearConstraint(
+        lambda vec: vec[n:] @ (vec[:n] * vec[:n]), -np.inf, j,
+        jac=lambda vec: np.concatenate([2.0 * vec[n:] * vec[:n], vec[:n] * vec[:n]]),
+    )
 
     best = None  # (rs, power, pts tuple, probs tuple)
     trace = []
     seed_start = _construct_seed(chan, j, n)
     for restart in range(config.restarts):
         rng = np.random.default_rng([config.seed, restart])
+        probs0 = np.full(n, 1.0 / n)
         if restart == 0:
-            pts0 = np.linspace(-1.0, 1.0, n) * root_j if n > 1 else np.array([root_j])
-            logits0 = np.zeros(n)
+            pts0 = np.linspace(-1.0, 1.0, n) * amplitude if n > 1 else np.array([amplitude])
         elif restart == 1:
-            pts0 = np.linspace(0.1, 1.0, n) * root_j
-            logits0 = np.zeros(n)
+            pts0 = np.linspace(0.1, 1.0, n) * amplitude
         elif restart == 2 and seed_start is not None:
-            pts0, logits0 = seed_start
+            pts0, probs0 = seed_start
         else:
-            pts0 = rng.uniform(-1.25 * root_j, 1.25 * root_j, n)
-            logits0 = rng.normal(0.0, 1.0, n)
-        x0 = np.concatenate([pts0, logits0])
+            pts0 = rng.uniform(-1.25 * amplitude, 1.25 * amplitude, n)
+            probs0 = rng.dirichlet(np.ones(n))
         res = minimize(
-            negrate,
-            x0,
-            method="Nelder-Mead",
-            options={"maxiter": config.max_iterations, "xatol": 1e-10, "fatol": 1e-13},
+            negated,
+            np.concatenate([pts0, probs0]),
+            jac=True,
+            method="SLSQP",
+            bounds=bounds,
+            constraints=(simplex, budget),
+            options={"maxiter": config.max_iterations, "ftol": 1e-15},
         )
-        res2 = minimize(
-            negrate,
-            res.x,
-            method="Nelder-Mead",
-            options={"maxiter": config.max_iterations, "xatol": 1e-11, "fatol": 1e-14},
-        )
-        iterations = int(res.nit) + int(res2.nit)
-        pts, probs = unpack(res2.x)
-        pts, probs = _cleanup(pts, probs)
+        pts, probs = _cleanup(res.x[:n], res.x[n:])
         rs = _rates_at(chan, pts, probs)
-
-        # snap to the power boundary when it costs nothing
-        power = float(np.dot(probs, pts * pts))
-        if 0.0 < power < j:
-            scale = math.sqrt(j / power)
-            snapped = _project_power(scale * pts, probs, j)
-            rs_snap = _rates_at(chan, snapped, probs)
-            if rs_snap >= rs - _SNAP_RATE_TOL:
-                pts, rs = snapped, max(rs, rs_snap)
 
         # fold/reflect moves help escape sign-pattern local optima
         for moved in _fold_moves(pts, probs, config.support_size):
@@ -277,9 +265,11 @@ def optimize_wyner_rate(chan, power_budget, config=None):
                 )
                 pts, probs, rs = moved_pts, moved_probs, rs_moved
 
-        # the cleanup's renormalisation can leave E[X^2] an ulp above the budget
-        scale = 1.0
-        input_dist = _sorted_input(pts, probs)
+        # SLSQP meets E[X^2] <= J only to its tolerance, or not at all when it
+        # stops early: scale radially, then step down past the last ulp
+        power = float(probs @ (pts * pts))
+        scale = math.sqrt(j / power) if power > j else 1.0
+        input_dist = _sorted_input(scale * pts, probs)
         while input_dist.power > j:
             scale = math.nextafter(scale, 0.0)
             input_dist = _sorted_input(scale * pts, probs)
@@ -288,7 +278,7 @@ def optimize_wyner_rate(chan, power_budget, config=None):
             rs = _rates_at(chan, pts, probs)
         power = input_dist.power
 
-        trace.append((config.seed, restart, iterations, rs, power))
+        trace.append((config.seed, restart, int(res.nit), rs, power))
         cand = (rs, power, tuple(pts))
         if best is None or _better(cand, best[:3]):
             best = (rs, power, tuple(pts), input_dist)

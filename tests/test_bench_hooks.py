@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from helpers import criterion1_channel
-from wiretap_adc import DiscreteInput, achievability, secrecy_rate
+from wiretap_adc import DiscreteInput, OptimizeConfig, achievability, optimizer, secrecy_rate
 
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 
@@ -48,5 +48,7 @@ def test_traced_runs_reach_every_layer_the_bench_reads():
         for chan in (complex_chan, real_chan):
             achievability.achieve(chan)  # the module binding is the one patched
         secrecy_rate(real_chan, DiscreteInput((0.5, 2.0), (0.5, 0.5)))
-    for name in ("L0.cells", "L1.rows", "L2.rate", "L3.achieve"):
+        # the solver must run through the module's minimize binding
+        optimizer.optimize_wyner_rate(real_chan, 1.0, OptimizeConfig(restarts=1))
+    for name in ("L0.cells", "L1.rows", "L2.rate", "L3.achieve", "L3.optimize", "L3.minimize"):
         assert tracer.spans[name].calls > 0, name

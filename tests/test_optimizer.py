@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from helpers import one_bit_real_channel, random_real_input
 from wiretap_adc import (
+    AdcSpec,
+    ComplexAdcPair,
     ComplexGain,
     DiscreteInput,
     EqualGainError,
@@ -16,11 +19,15 @@ from wiretap_adc import (
     fold_input,
     folding_gap,
     kkt_check,
+    one_bit,
     one_bit_pair,
     optimize_wyner_rate,
     reflect_input,
     secrecy_rate,
 )
+from wiretap_adc import channel
+from wiretap_adc.infotheory import _rate_arrays
+from wiretap_adc.optimizer import _better, _rate_and_gradient
 
 EASY = WiretapChannel(
     w1=ComplexGain(2.0), w2=ComplexGain(1.0),
@@ -41,14 +48,97 @@ def test_optimize_finds_positive_rate_within_budget():
 
 
 def test_trace_schema_and_running_best():
-    res = optimize_wyner_rate(EASY, 2.0, FAST)
-    assert len(res.trace) == FAST.restarts
-    for row in res.trace:
-        seed, restart, iterations, rs, power = row
-        assert seed == FAST.seed
-        assert iterations > 0
-        assert power <= 2.0 * (1.0 + 1e-9)
-    assert res.report.rs == max(row[3] for row in res.trace)
+    for config in (FAST, OptimizeConfig(restarts=4, seed=2)):
+        res = optimize_wyner_rate(EASY, 2.0, config)
+        assert len(res.trace) == config.restarts
+        for row in res.trace:
+            seed, restart, iterations, rs, power = row
+            assert seed == config.seed
+            assert iterations > 0
+            assert power <= 2.0 * (1.0 + 1e-9)
+        # the selection rule, not the maximum rate: rates within the tie
+        # tolerance go to the lower power.  The trace has no points, so a row
+        # tying the report on rate and power counts as not beating it.
+        best = (res.report.rs, res.report.power)
+        assert best in [(row[3], row[4]) for row in res.trace]
+        pts = tuple(z.real for z in res.input.points)
+        assert not any(_better((row[3], row[4], pts), (*best, pts)) for row in res.trace)
+
+
+def test_early_stop_still_meets_the_budget():
+    # after two SLSQP iterations one restart's iterate is 25 % above the budget
+    res = optimize_wyner_rate(EASY, 2.0, OptimizeConfig(restarts=3, seed=0, max_iterations=2))
+    assert all(row[4] <= 2.0 for row in res.trace)
+    assert res.input.power <= 2.0
+
+
+def test_slack_budget_keeps_the_tight_budget_optimum():
+    # the J = 2 optimum has E[X^2] = 1.004, so it is feasible at J = 400 too;
+    # starts at +-sqrt(400) would sit where every cell slope is below round-off
+    tight = optimize_wyner_rate(EASY, 2.0, OptimizeConfig(restarts=4, seed=5))
+    slack = optimize_wyner_rate(EASY, 400.0, OptimizeConfig(restarts=4, seed=5))
+    assert slack.report.rs >= tight.report.rs - 1e-12
+
+
+def test_unseen_outputs_keep_the_gradient_finite():
+    # restart 2 here meets a zero-probability point whose row has mass on
+    # outputs no other point produces at either receiver; its densities are
+    # infinite at both, and their difference would be inf - inf.  The
+    # iteration cap only shortens restart 1, which stalls at a one-point input.
+    chan = WiretapChannel(
+        w1=ComplexGain(-2.54), w2=ComplexGain(-0.33),
+        legit_adc=one_bit_pair(), eave_adc=one_bit_pair(), mode="real",
+    )
+    config = OptimizeConfig(restarts=3, seed=33, max_iterations=30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = optimize_wyner_rate(chan, 143.6, config)
+    assert res.input.power <= 143.6
+
+
+def test_rate_gradient_matches_central_differences():
+    # 4-level eavesdropper; the outer points sit in the tails (|w x| = 4.8)
+    chan = WiretapChannel(
+        w1=ComplexGain(1.2), w2=ComplexGain(-0.9),
+        legit_adc=one_bit_pair(),
+        eave_adc=ComplexAdcPair(AdcSpec((-1.0, 0.2, 1.5), (0.0, 1.0, 2.0, 3.0)), one_bit()),
+        mode="real",
+    )
+    xs = np.array([-4.0, -0.3, 0.8, 3.5])
+    ps = np.array([0.1, 0.3, 0.4, 0.2])
+    h = 1e-5
+    for receiver in ("legit", "eave"):
+        fd = (
+            channel.transition_rows(chan, receiver, xs + h)
+            - channel.transition_rows(chan, receiver, xs - h)
+        ) / (2.0 * h)
+        np.testing.assert_allclose(channel._cell_slopes(chan, receiver, xs), fd, rtol=1e-6)
+
+    def rs(x, p):
+        i1, i2 = _rate_arrays(chan, x, p)
+        return i1 - i2
+
+    # the rate is a function of unnormalised probabilities too, so each
+    # coordinate is perturbed on its own
+    steps = h * np.eye(len(xs))
+    fd = [(rs(xs + e, ps) - rs(xs - e, ps)) / (2.0 * h) for e in steps]
+    fd += [(rs(xs, ps + e) - rs(xs, ps - e)) / (2.0 * h) for e in steps]
+    rate, grad = _rate_and_gradient(chan, xs, ps)
+    assert rate == rs(xs, ps)
+    np.testing.assert_allclose(grad, fd, rtol=1e-6)
+
+
+def test_rate_evaluations_per_call_stay_small(monkeypatch):
+    calls = []
+    rows = channel.transition_rows
+
+    def counted(*args):
+        calls.append(1)
+        return rows(*args)
+
+    monkeypatch.setattr(channel, "transition_rows", counted)
+    optimize_wyner_rate(EASY, 2.0, OptimizeConfig(restarts=4, seed=2))
+    assert 0 < len(calls) <= 1000
 
 
 def test_determinism_and_restart_monotonicity():
@@ -127,7 +217,6 @@ def test_folding_gap_preconditions():
     with pytest.raises(ValidationError):
         folding_gap(chan, DiscreteInput((1.0,), (1.0,)))
     # an off-center threshold is rejected
-    from wiretap_adc import AdcSpec, ComplexAdcPair, one_bit
     multi = WiretapChannel(
         w1=chan.w1, w2=chan.w2,
         legit_adc=ComplexAdcPair(AdcSpec((0.5,), (-1.0, 1.0)), one_bit()),
