@@ -1,9 +1,9 @@
 """Secrecy rates of Gaussian wiretap channels observed through coarse ADCs.
 
-Core objects: quantizer specs (adc), channel law and transition matrices
-(channel), rates and entropy tools (infotheory), positive-rate constructions
-(achievability), input-distribution search and optimality audits (optimizer),
-self-check suites (verification), and a CLI (cli).
+Core objects: quantizer specs (adc), channel law and per-input transition
+rows (channel), rates and entropy tools (infotheory), positive-rate
+constructions (achievability), input-distribution search and optimality audits
+(optimizer), self-check suites (verification), and a CLI (cli).
 """
 
 from .achievability import (
@@ -31,14 +31,10 @@ from .adc import (
     shift_thresholds,
 )
 from .channel import (
-    ROW_SUM_TOL,
     UNDERFLOW_FLOOR,
     ComplexGain,
-    TransitionMatrix,
     WiretapChannel,
-    output_alphabet,
     q_function,
-    transition_matrix,
     transition_row,
     transition_rows,
 )
@@ -48,8 +44,6 @@ from .infotheory import (
     RateReport,
     binary_entropy,
     folding_functions,
-    information_density,
-    mutual_information,
     secrecy_rate,
     z_rate,
 )
@@ -83,12 +77,10 @@ __all__ = [
     "OptimizeResult",
     "PhaseAlignment",
     "QpskBound",
-    "ROW_SUM_TOL",
     "RateReport",
     "SuiteResult",
     "SupportVerdict",
     "SweepExhaustedError",
-    "TransitionMatrix",
     "UNDERFLOW_FLOOR",
     "ValidationError",
     "WiretapChannel",
@@ -103,14 +95,11 @@ __all__ = [
     "fold_input",
     "folding_functions",
     "folding_gap",
-    "information_density",
     "is_symmetric_one_bit",
     "kkt_check",
-    "mutual_information",
     "one_bit",
     "one_bit_pair",
     "optimize_wyner_rate",
-    "output_alphabet",
     "q_function",
     "qpsk_bound",
     "reduce_to_symmetric",
@@ -118,7 +107,6 @@ __all__ = [
     "run_verification",
     "secrecy_rate",
     "shift_thresholds",
-    "transition_matrix",
     "transition_row",
     "transition_rows",
     "z_rate",

@@ -593,11 +593,11 @@ def _split_pair_steps(sweep, alignment):
             yield [(near, far, phi, (amp, phi), dict(meta, limit=zchannel_limit(phi, p1, p2)))]
 
 
-def reduce_to_symmetric(chan, legit_threshold_choice=None):
+def reduce_to_symmetric(chan):
     """Equivalent problem with a symmetric one-bit legitimate receiver.
 
-    Picks one legitimate threshold per component (default: the median index),
-    shifts the eavesdropper's thresholds by the matching components of
+    Picks the median-index legitimate threshold of each component, shifts the
+    eavesdropper's thresholds by the matching components of
     (w2/w1)(c_R + j c_I), and returns the translation (c_R + j c_I)/w1 to add
     to every constructed input point.  With a one-bit legitimate ADC the
     translated input achieves exactly the same rates on the original channel;
@@ -605,19 +605,11 @@ def reduce_to_symmetric(chan, legit_threshold_choice=None):
     reduced receiver's output is a function of the original one.
     """
 
-    def pick(spec, choice):
-        idx = (len(spec.thresholds) - 1) // 2 if choice is None else int(choice)
-        if not 0 <= idx < len(spec.thresholds):
-            raise ValidationError(
-                f"threshold index {idx} out of range for {len(spec.thresholds)} thresholds"
-            )
-        return spec.thresholds[idx]
+    def median(spec):
+        return spec.thresholds[(len(spec.thresholds) - 1) // 2]
 
     if chan.mode == "real":
-        choice_r = legit_threshold_choice
-        if isinstance(legit_threshold_choice, (tuple, list)):
-            choice_r = legit_threshold_choice[0]
-        c_r = pick(chan.legit_adc.real_part, choice_r)
+        c_r = median(chan.legit_adc.real_part)
         shift_r = (chan.w2.re / chan.w1.re) * c_r
         translation = complex(c_r / chan.w1.re, 0.0)
         eave = ComplexAdcPair(
@@ -625,16 +617,7 @@ def reduce_to_symmetric(chan, legit_threshold_choice=None):
             chan.eave_adc.imag_part,
         )
     else:
-        if legit_threshold_choice is None:
-            choice_r = choice_i = None
-        elif isinstance(legit_threshold_choice, (tuple, list)):
-            choice_r, choice_i = legit_threshold_choice
-        else:
-            choice_r = choice_i = legit_threshold_choice
-        c = complex(
-            pick(chan.legit_adc.real_part, choice_r),
-            pick(chan.legit_adc.imag_part, choice_i),
-        )
+        c = complex(median(chan.legit_adc.real_part), median(chan.legit_adc.imag_part))
         shift = (chan.w2.value / chan.w1.value) * c
         translation = c / chan.w1.value
         eave = ComplexAdcPair(

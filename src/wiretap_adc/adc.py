@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ValidationError
 from .util import require_finite
 
-# Joint transition matrices scale as k_R * k_I; 4096 per component keeps them
+# Joint transition rows have k_R * k_I entries; 4096 per component keeps them
 # desk-sized.
 MAX_LEVELS = 4096
 

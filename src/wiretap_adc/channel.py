@@ -7,6 +7,7 @@ and thresholds).  Each component is quantized independently, and joint
 outputs are enumerated as (real cell index) * k_I + (imag cell index).
 """
 
+import cmath
 import logging
 import math
 from dataclasses import dataclass
@@ -23,8 +24,6 @@ logger = logging.getLogger(__name__)
 # Cell probabilities this small are pure round-off of the tail difference;
 # clamp to zero so downstream logs stay finite.
 UNDERFLOW_FLOOR = 1e-300
-
-ROW_SUM_TOL = 1e-12
 
 RECEIVERS = ("legit", "eave")
 
@@ -122,35 +121,6 @@ class WiretapChannel:
         )
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Row-stochastic P(Y|X) over enumerated quantizer outputs."""
-
-    inputs: tuple
-    output_alphabet: tuple
-    probs: np.ndarray
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "inputs", tuple(complex(x) for x in self.inputs))
-        object.__setattr__(self, "output_alphabet", tuple(self.output_alphabet))
-        if probs.ndim != 2:
-            raise ValidationError(f"probs must be 2-D, got shape {probs.shape}")
-        if probs.shape != (len(self.inputs), len(self.output_alphabet)):
-            raise ValidationError(
-                f"probs shape {probs.shape} does not match "
-                f"{len(self.inputs)} inputs x {len(self.output_alphabet)} outputs"
-            )
-        if probs.size and (probs.min() < 0.0 or probs.max() > 1.0):
-            raise ValidationError("transition probabilities must lie in [0, 1]")
-        sums = probs.sum(axis=1)
-        bad = np.abs(sums - 1.0) > ROW_SUM_TOL
-        if bad.any():
-            i = int(np.argmax(np.abs(sums - 1.0)))
-            raise ValidationError(f"row {i} sums to {sums[i]!r}, outside 1 +/- {ROW_SUM_TOL}")
-
-
 def q_function(x):
     """Standard normal tail Q(x) = P(N > x), via the complementary error function."""
     x = require_finite("x", x)
@@ -192,31 +162,23 @@ def _cell_slopes(channel, receiver, xs):
     return w * (pdf_lo - pdf_hi) / math.sqrt(2.0 * math.pi)
 
 
-def output_alphabet(channel, receiver):
-    """Enumerated outputs; complex mode pairs labels as y_R + j*y_I."""
-    pair = channel.adc_for(receiver)
-    if channel.mode == "real":
-        return tuple(pair.real_part.outputs)
-    return tuple(
-        complex(yr, yi) for yr in pair.real_part.outputs for yi in pair.imag_part.outputs
-    )
-
-
 def transition_row(channel, receiver, x):
     """Output distribution for a single input value x."""
-    x = complex(x)
-    if not (math.isfinite(x.real) and math.isfinite(x.imag)):
-        raise ValidationError(f"input must be finite, got {x!r}")
     return transition_rows(channel, receiver, (x,))[0]
 
 
 def transition_rows(channel, receiver, xs):
     """Output distributions for many inputs, one row per input.
 
-    Complex-mode rows are the outer product of the two component rows (one
-    _cells call), flattened row-major to match output_alphabet.
+    Real-mode rows have one entry per cell of the real quantizer.  Complex-mode
+    rows are the outer product of the two component rows (one _cells call),
+    flattened row-major: output (real cell) * k_I + (imag cell), where k_I is
+    the imaginary quantizer's level count.
     """
     xs = [complex(x) for x in xs]
+    for x in xs:
+        if not cmath.isfinite(x):
+            raise ValidationError(f"input must be finite, got {x!r}")
     pair = channel.adc_for(receiver)
     w = channel.gain_for(receiver)
     if channel.mode == "real":
@@ -229,14 +191,3 @@ def transition_rows(channel, receiver, xs):
     cells = _cells((pair.real_part, pair.imag_part), np.stack((wx.real, wx.imag), axis=1))
     k = pair.real_part.levels
     return np.einsum("xr,xi->xri", cells[:, :k], cells[:, k:]).reshape(len(xs), -1)
-
-
-def transition_matrix(channel, receiver, input_dist):
-    """Stack transition_row over the support of a discrete input."""
-    probs = transition_rows(channel, receiver, input_dist.points)
-    return TransitionMatrix(
-        inputs=input_dist.points,
-        output_alphabet=output_alphabet(channel, receiver),
-        probs=probs,
-    )
-

@@ -31,6 +31,7 @@ from .optimizer import (
     kkt_check,
     optimize_wyner_rate,
 )
+from .util import require_finite
 
 _ACHIEVE_KEYS = {"rate_floor", "mode", "phi_grid", "max_doublings", "extended"}
 _OPTIMIZE_KEYS = {"support_size", "restarts", "seed", "max_iterations"}
@@ -227,8 +228,8 @@ def _sweep_grid(section):
     if axis not in _SWEEP_AXES:
         raise ValidationError(f"sweep axis must be one of {_SWEEP_AXES}, got {axis!r}")
     try:
-        start = float(section["start"])
-        stop = float(section["stop"])
+        start = require_finite("sweep start", float(section["start"]))
+        stop = require_finite("sweep stop", float(section["stop"]))
         num = int(section["num"])
     except KeyError as missing:
         raise ValidationError(f"sweep section is missing {missing}") from None

@@ -118,13 +118,6 @@ def _mutual_information_arrays(laws, W):
     return [max(0.0, float(i)) for i in info.ravel()]  # max maps NaN and -0.0 to 0.0
 
 
-def mutual_information(input_dist, matrix):
-    """I(X;Y) in bits for a discrete input and a transition matrix."""
-    if matrix.inputs != input_dist.points:
-        raise ValidationError("matrix rows are not aligned with the input support")
-    return _mutual_information_arrays([input_dist.probs], matrix.probs)[0]
-
-
 def _receiver_rows(chan, points):
     """(legit rows, eave rows): one transition row per point at each receiver."""
     return tuple(channel_mod.transition_rows(chan, r, points) for r in channel_mod.RECEIVERS)
@@ -165,32 +158,6 @@ def z_rate(phi, p):
     if math.isnan(p) or p < 0.0 or p > 1.0:
         raise ValidationError(f"z_rate needs p in [0, 1], got {p!r}")
     return binary_entropy(phi * (1.0 - p)) - phi * binary_entropy(p)
-
-
-def information_density(x, input_dist, matrix, row=None):
-    """Per-input integrand i(x) = sum_y W(y|x) log2(W(y|x)/P_Y(y)).
-
-    The output law P_Y comes from input_dist and matrix.  For x in the
-    matrix support its row is used; for other x pass the transition row
-    explicitly via ``row``.  Returns +inf if x puts mass on an output that
-    the input distribution never produces.
-    """
-    if row is None:
-        x = complex(x)
-        try:
-            idx = matrix.inputs.index(x)
-        except ValueError as exc:
-            raise ValidationError(
-                f"{x} is not in the matrix support; pass its transition row explicitly"
-            ) from exc
-        row = matrix.probs[idx]
-    row = np.asarray(row, dtype=float)
-    if row.shape != (len(matrix.output_alphabet),):
-        raise ValidationError(
-            f"row has shape {row.shape}, expected ({len(matrix.output_alphabet)},)"
-        )
-    py = np.asarray(input_dist.probs, dtype=float) @ matrix.probs
-    return float(information_densities(row, py))
 
 
 def information_densities(rows, py):

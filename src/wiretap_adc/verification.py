@@ -29,15 +29,15 @@ from .achievability import (
     zchannel_limit,
 )
 from .adc import AdcSpec, ComplexAdcPair, one_bit_pair
-from .channel import ComplexGain, WiretapChannel, q_function, transition_matrix
+from .channel import ComplexGain, WiretapChannel, q_function, transition_rows
 from .errors import SweepExhaustedError, ValidationError
 from .infotheory import (
     DiscreteInput,
+    _mutual_information_arrays,
     _rate_arrays,
     binary_entropy,
     folding_functions,
-    information_density,
-    mutual_information,
+    information_densities,
     secrecy_rate,
     z_rate,
 )
@@ -71,21 +71,21 @@ class SuiteResult:
         }
 
 
-def _random_adc_spec(rng, lo=-1.5, hi=1.5, min_levels=2, max_levels=4):
-    k = int(rng.integers(min_levels, max_levels + 1))
+def _random_adc_spec(rng):
+    k = int(rng.integers(2, 5))
     while True:
-        th = np.sort(rng.uniform(lo, hi, k - 1))
+        th = np.sort(rng.uniform(-1.5, 1.5, k - 1))
         if k == 2 or np.all(np.diff(th) > 0.0):
             break
     return AdcSpec(tuple(float(t) for t in th), tuple(float(i) for i in range(k)))
 
 
-def _random_pair(rng, **kw):
-    return ComplexAdcPair(_random_adc_spec(rng, **kw), _random_adc_spec(rng, **kw))
+def _random_pair(rng):
+    return ComplexAdcPair(_random_adc_spec(rng), _random_adc_spec(rng))
 
 
-def _random_gains(rng, low=0.2, high=1.2, gap_low=0.8, gap_high=1.6):
-    base = float(rng.uniform(low, high))
+def _random_gains(rng, gap_low=0.8, gap_high=1.6):
+    base = float(rng.uniform(0.2, 1.2))
     gap = float(rng.uniform(gap_low, gap_high))
     if rng.integers(0, 2):
         return base, base + gap
@@ -295,7 +295,7 @@ def _convergence_threshold(chan, result):
     return 8.0 / (w_min * span)
 
 
-def _limit_deviation(chan, result, max_doublings=40):
+def _limit_deviation(chan, result):
     """Worst |exact - limit| over schedule amplitudes past the threshold."""
     if result.regime != "limit":
         return None, 0
@@ -309,7 +309,7 @@ def _limit_deviation(chan, result, max_doublings=40):
         near = complex(result.a)
     worst = 0.0
     checked = 0
-    for far_amp, far in _far_points(chan, result.a, direction, max_doublings):
+    for far_amp, far in _far_points(chan, result.a, direction, ConstructOptions().max_doublings):
         if far_amp >= threshold and far != near:
             i1, i2 = _rate_arrays(chan, (near, far), (result.phi, 1.0 - result.phi))
             worst = max(worst, abs((i1 - i2) - result.limit_rate))
@@ -440,17 +440,15 @@ def _suite_mi_oracle(rng):
         probs = rng.dirichlet(np.ones(n))
         dist = DiscreteInput(tuple(pts.tolist()), tuple(float(p) for p in probs))
         for receiver in ("legit", "eave"):
-            matrix = transition_matrix(chan, receiver, dist)
-            mi = mutual_information(dist, matrix)
+            rows = transition_rows(chan, receiver, dist.points)
+            mi = _mutual_information_arrays([dist.probs], rows)[0]
             brute = _brute_force_mi(
                 [float(p) for p in dist.probs],
-                [list(map(float, row)) for row in matrix.probs],
+                [list(map(float, row)) for row in rows],
             )
             worst = max(worst, abs(mi - brute))
-            mean_density = math.fsum(
-                p * information_density(x, dist, matrix)
-                for x, p in zip(dist.points, dist.probs)
-            )
+            densities = information_densities(rows, np.asarray(dist.probs) @ rows)
+            mean_density = math.fsum(p * d for p, d in zip(dist.probs, densities))
             worst = max(worst, abs(mean_density - mi))
             cases += 1
     return SuiteResult(

@@ -7,22 +7,19 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from helpers import random_adc
 from wiretap_adc import (
-    ROW_SUM_TOL,
     AdcSpec,
     ComplexAdcPair,
     ComplexGain,
-    DiscreteInput,
-    TransitionMatrix,
     ValidationError,
     WiretapChannel,
     one_bit,
     one_bit_pair,
-    output_alphabet,
     q_function,
-    transition_matrix,
     transition_row,
     transition_rows,
 )
+
+ROW_SUM_TOL = 1e-12
 
 
 def make_channel(mode="real", w1=1.0, w2=2.0, legit=None, eave=None):
@@ -110,16 +107,6 @@ def test_complex_mode_row_is_component_product():
             assert row[ir * 2 + ii] == pytest.approx(pr * pi, rel=1e-12)
 
 
-def test_output_alphabet_layout():
-    legit = ComplexAdcPair(AdcSpec((0.0,), (-1.0, 1.0)), AdcSpec((0.0,), (-1.0, 1.0)))
-    chan = make_channel(mode="complex", legit=legit)
-    assert output_alphabet(chan, "legit") == (
-        complex(-1, -1), complex(-1, 1), complex(1, -1), complex(1, 1),
-    )
-    chan_r = make_channel(mode="real")
-    assert output_alphabet(chan_r, "legit") == (-1.0, 1.0)
-
-
 def test_transition_rows_matches_single_row():
     rng = np.random.default_rng(7)
     eave = ComplexAdcPair(random_adc(rng), random_adc(rng))
@@ -131,15 +118,19 @@ def test_transition_rows_matches_single_row():
     assert np.allclose(stacked.sum(axis=1), 1.0, atol=ROW_SUM_TOL)
 
 
-def test_transition_matrix_alignment_and_validation():
-    chan = make_channel(mode="real")
-    dist = DiscreteInput((-1.0, 2.0), (0.5, 0.5))
-    mat = transition_matrix(chan, "legit", dist)
-    assert mat.inputs == dist.points
-    assert mat.probs.shape == (2, 2)
-    with pytest.raises(ValidationError):
-        TransitionMatrix(inputs=(0.0,), output_alphabet=(0.0, 1.0),
-                         probs=np.array([[0.7, 0.2]]))
+@pytest.mark.parametrize(
+    "mode, xs",
+    [
+        ("real", [float("nan"), 1.0]),
+        ("real", [float("-inf")]),
+        ("complex", [complex(float("nan"), 0.0)]),
+        ("complex", [1.0, complex(0.5, float("inf"))]),
+    ],
+)
+def test_transition_rows_rejects_non_finite_inputs(mode, xs):
+    chan = make_channel(mode=mode)
+    with pytest.raises(ValidationError, match="finite"):
+        transition_rows(chan, "legit", xs)
 
 
 def test_real_mode_rejects_complex_inputs_and_gains():

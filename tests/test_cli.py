@@ -236,6 +236,16 @@ class TestSweep:
         assert main(["sweep", "--config", cfg]) == 2
         assert "axis" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bound, value", [("start", float("-inf")), ("start", float("nan")), ("stop", float("inf"))]
+    )
+    def test_non_finite_range_rejected(self, tmp_path, capsys, bound, value):
+        # json.dumps writes -Infinity, NaN and Infinity, which json.load accepts
+        sweep = {"axis": "b", "start": 1.0, "stop": 3.0, "num": 3, bound: value}
+        cfg = write_config(tmp_path, channel=worked_channel().to_json(), sweep=sweep)
+        assert main(["sweep", "--config", cfg]) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestVerify:
     def test_subset_passes(self, tmp_path, capsys):
