@@ -22,16 +22,16 @@ the smallest-(amplitude, phi) candidate above the floor in the first step
 that has one; mode "best" runs whole stages and returns the best candidate
 once a stage ends with it above the floor.
 
-Both receivers' transition rows are built once per (near, far) pair, and
-one batched kernel call per receiver scores every phi of the grid on them;
-the crossover and saturation lookups of the near and far points share the
-rows too.
+Rows once per point; ray schedules scored in batches.  Each point's rows at
+both receivers are built once per construction and serve all its pairs and
+crossover and saturation lookups.  Extended-stage rays score the phi grids of
+many pairs per kernel call; the other stages score one pair at a time.
 """
 
 import cmath
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from itertools import islice
 
 from . import channel as channel_mod
 from .adc import ComplexAdcPair, is_symmetric_one_bit, one_bit_pair, shift_thresholds
@@ -58,6 +58,11 @@ DEFAULT_PHI_GRID = (0.5, 0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9)
 # Extended-stage refinements of the near amplitude toward the feasibility
 # bound, as fractions of the canonical safety margin.
 _REFINE_DELTAS = tuple(2.0 ** (-k) for k in range(-1, 13))
+
+# Extended-stage rays build and score up to _CHUNK_NEARS near amplitudes ahead,
+# _BATCH_PAIRS pairs per kernel call; more costs more in temporaries and in work
+# that a "first"-mode hit leaves unused.
+_CHUNK_NEARS, _BATCH_PAIRS = 8, 16
 
 
 @dataclass(frozen=True)
@@ -91,7 +96,7 @@ class ConstructOptions:
                 raise ValidationError(f"phi grid values must lie in (0, 1), got {phi!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AchievabilityResult:
     """Selected two-point input with exact rates and Z-channel diagnostics.
 
@@ -230,16 +235,6 @@ def _limit_cell_indices(chan, direction):
     return tuple(indices)
 
 
-def _limit_mass(chan, direction, rows, k):
-    """(legit, eave) mass that point k of _receiver_rows output puts in the limit cells.
-
-    For a near point these are the Z-channel crossovers (p1, p2); a far point
-    is saturated once both are 1.
-    """
-    idx1, idx2 = _limit_cell_indices(chan, direction)
-    return float(rows[0][k, idx1]), float(rows[1][k, idx2])
-
-
 def crossover_probs(chan, theta, a):
     """Z-channel crossovers of the canonical construction at near amplitude a.
 
@@ -259,7 +254,7 @@ def crossover_probs(chan, theta, a):
         if not 0.0 < theta <= math.pi / 4.0:
             raise ValidationError(f"theta must lie in (0, pi/4], got {theta!r}")
         direction = cmath.rect(1.0, theta - chan.w2.phase)
-    return _limit_mass(chan, direction, _receiver_rows(chan, (complex(a * direction),)), 0)
+    return _Sweep(chan, ConstructOptions()).limit_mass(direction, complex(a * direction))
 
 
 def choose_amplitude(chan, theta=None):
@@ -293,10 +288,9 @@ def zchannel_limit(phi, p1, p2):
 class _Sweep:
     """Step evaluator tracking the running best and optional trace.
 
-    It keeps both receivers' rows of the last (near, far) pair it was asked
-    for and, from the pair's first candidate on, its rates at every grid phi,
-    so each distinct pair is built and scored once however many phis,
-    consecutive steps and lookups share it.
+    Rows once per point; ray schedules scored in batches.  It keeps both
+    receivers' rows of every point and the limit cells of every direction the
+    construction meets, and the rates at every grid phi of the pairs scored last.
     """
 
     def __init__(self, chan, options):
@@ -305,37 +299,55 @@ class _Sweep:
         self.trace = [] if options.keep_trace else None
         self.best = None  # (rs, sort_key, candidate)
         self.evaluations = 0
-        self._pair = self._rows = self._rates = None
+        self._rows, self._cells, self._rates = {}, {}, {}  # by point, direction, pair
 
-    def rows(self, near, far):
-        """_receiver_rows of (near, far), rebuilt only when the pair changes."""
-        if self._pair != (near, far):
-            self._pair = (near, far)
-            self._rows = _receiver_rows(self.chan, self._pair)
-            self._rates = None
-        return self._rows
+    def build(self, points):
+        """Rows of the points not met yet: one transition_rows call per receiver."""
+        new = list(dict.fromkeys(p for p in points if p not in self._rows))
+        if new:
+            self._rows.update(zip(new, zip(*_receiver_rows(self.chan, new))))
+
+    def limit_mass(self, direction, point):
+        """(legit, eave) mass of the point's rows in the limit cells: a near point's (p1, p2)."""
+        if direction not in self._cells:
+            self._cells[direction] = _limit_cell_indices(self.chan, direction)
+        self.build((point,))
+        (idx1, idx2), (row1, row2) = self._cells[direction], self._rows[point]
+        return float(row1[idx1]), float(row2[idx2])
+
+    def score(self, pairs):
+        """Each pair's rates at every grid phi, replacing those kept; _BATCH_PAIRS a kernel call."""
+        grid, pairs = self.options.phi_grid, list(dict.fromkeys(pairs))
+        self._rates = {}
+        self.build(point for pair in pairs for point in pair)
+        for start in range(0, len(pairs), _BATCH_PAIRS):
+            batch = pairs[start : start + _BATCH_PAIRS]
+            rows = [[(self._rows[a][r], self._rows[b][r]) for a, b in batch] for r in (0, 1)]
+            for pair, rates in zip(batch, _rates_from_rows([(p, 1.0 - p) for p in grid], rows)):
+                self._rates[pair] = dict(zip(grid, zip(*rates)))
 
     def consider(self, near, far, phi, sort_key, meta):
         """Evaluate one pair; returns the candidate when it clears the floor."""
         if near == far:
             return None
-        rows = self.rows(near, far)
-        if self._rates is None:
-            grid = self.options.phi_grid
-            self._rates = dict(zip(grid, _rates_from_rows([(p, 1.0 - p) for p in grid], rows)))
-        i1, i2 = self._rates[phi]
+        if (near, far) not in self._rates:
+            self.score([(near, far)])
+        i1, i2 = self._rates[(near, far)][phi]
         rs = i1 - i2
         self.evaluations += 1
         if self.trace is not None:
-            self.trace.append((sort_key[0], phi, i1, i2, rs, meta.get("limit")))
-        candidate = (near, far, phi, RateReport(i1, i2, rs, _pair_power(near, far, phi)), meta)
-        if (
-            self.best is None
-            or rs > self.best[0]
-            or (rs == self.best[0] and sort_key < self.best[1])
-        ):
+            limit = meta.get("limit", zchannel_limit(phi, meta["p1"], meta["p2"]))
+            self.trace.append((sort_key[0], phi, i1, i2, rs, limit))
+        hit = rs > self.options.rate_floor
+        best = self.best is None or rs > self.best[0] or (
+            rs == self.best[0] and sort_key < self.best[1])
+        if not (best or hit):
+            return None
+        power = phi * abs(near) ** 2 + (1.0 - phi) * abs(far) ** 2
+        candidate = (near, far, phi, RateReport(i1, i2, rs, power), meta)
+        if best:
             self.best = (rs, sort_key, candidate)
-        return candidate if rs > self.options.rate_floor else None
+        return candidate if hit else None
 
     def first_hit(self, steps):
         """Evaluate steps in order; the "first"-mode hit (module docstring) or None."""
@@ -350,24 +362,17 @@ class _Sweep:
         return None
 
 
-def _pair_power(near, far, phi):
-    return phi * abs(near) ** 2 + (1.0 - phi) * abs(far) ** 2
-
-
-def _far_points(chan, near_amp, direction, max_doublings, far_rows=None):
+def _far_points(sweep, near_amp, direction):
     """(far_amp, far point) at max(|near_amp|, 1) * 2^k along direction.
 
-    Stops after the first far point whose rows put all mass in the limit
-    cells.  far_rows(far) returns row stacks whose last rows are the far
-    point's; by default they are built afresh.
+    Stops after the first saturated far point, checked when the next one is asked for.
     """
-    far_rows = far_rows or (lambda far: _receiver_rows(chan, (far,)))
     base = max(abs(near_amp), 1.0)
-    for k in range(max_doublings + 1):
+    for k in range(sweep.options.max_doublings + 1):
         far_amp = base * 2.0**k
         far = complex(far_amp * direction)
         yield far_amp, far
-        if _limit_mass(chan, direction, far_rows(far), -1) == (1.0, 1.0):
+        if sweep.limit_mass(direction, far) == (1.0, 1.0):
             return
 
 
@@ -489,21 +494,46 @@ def _result(chan, alignment, candidate, trace):
 def _ray_steps(sweep, near_amp, direction, line_angle, ray, regime):
     """One step per far amplitude of the schedule: the whole phi grid there.
 
-    The crossovers come from the near point's rows in the first step's pair.
+    Lazy: each step builds only its own points; the near point's rows give the crossovers.
     """
-    chan, options = sweep.chan, sweep.options
     near = complex(near_amp * direction)
-    far_rows = partial(sweep.rows, near)
     meta = None
-    for far_amp, far in _far_points(chan, near_amp, direction, options.max_doublings, far_rows):
+    for far_amp, far in _far_points(sweep, near_amp, direction):
+        sweep.build((near, far))
         if meta is None:
-            p1, p2 = _limit_mass(chan, direction, sweep.rows(near, far), 0)
-            limits = {phi: zchannel_limit(phi, p1, p2) for phi in options.phi_grid}
+            p1, p2 = sweep.limit_mass(direction, near)
             meta = {"ray": ray, "line_angle": line_angle, "regime": regime, "p1": p1, "p2": p2}
-        yield [
-            (near, far, phi, (far_amp, phi), dict(meta, limit=limits[phi]))
-            for phi in options.phi_grid
-        ]
+        yield [(near, far, phi, (far_amp, phi), meta) for phi in sweep.options.phi_grid]
+
+
+def _batched_ray_steps(sweep, near_amps, direction, line_angle, ray):
+    """The "searched" _ray_steps of each near amplitude in turn, built and scored ahead.
+
+    The near amplitudes go in chunks of 1, 2, 4, then _CHUNK_NEARS.  A chunk's
+    far schedules grow in rounds, with one build for each round's new points,
+    and all the chunk's pairs are scored before its first step.
+    """
+    start, size = 0, 1
+    while start < len(near_amps):
+        chunk = near_amps[start : start + size]
+        start, size = start + size, min(2 * size, _CHUNK_NEARS)
+        nears = [complex(amp * direction) for amp in chunk]
+        schedules = [[] for _ in chunk]
+        growing = [(_far_points(sweep, a, direction), fars) for a, fars in zip(chunk, schedules)]
+        new, k = nears, 0
+        while growing:
+            for far_points, fars in growing:
+                fars.extend(islice(far_points, 1))  # after checking the last far point
+            growing = [(far_points, fars) for far_points, fars in growing if len(fars) > k]
+            sweep.build(new + [fars[k][1] for _, fars in growing])
+            new, k = [], k + 1
+        pairs = [(near, far) for near, fars in zip(nears, schedules) for _, far in fars]
+        sweep.score(pair for pair in pairs if pair[0] != pair[1])
+        for near, fars in zip(nears, schedules):
+            p1, p2 = sweep.limit_mass(direction, near)
+            meta = {"ray": ray, "line_angle": line_angle, "regime": "searched", "p1": p1, "p2": p2}
+            for far_amp, far in fars:
+                yield [(near, far, phi, (far_amp, phi), meta) for phi in sweep.options.phi_grid]
 
 
 def _extended_steps(sweep, alignment):
@@ -532,12 +562,8 @@ def _extended_steps(sweep, alignment):
         amps.extend(bound + math.copysign(d * max(1.0, abs(bound)), s) for d in _REFINE_DELTAS)
         amps.extend(sorted(_ray_threshold_riders(chan, direction), key=lambda v: (abs(v), v)))
         amps.append(0.0)
-        seen = set()
-        for amp in amps:
-            if not math.isfinite(amp) or amp in seen:
-                continue
-            seen.add(amp)
-            yield from _ray_steps(sweep, amp, direction, line_angle, ray, "searched")
+        amps = list(dict.fromkeys(amp for amp in amps if math.isfinite(amp)))
+        yield from _batched_ray_steps(sweep, amps, direction, line_angle, ray)
 
     pair_phis = [p for p in (0.5, 0.3, 0.7) if p in options.phi_grid] or [options.phi_grid[0]]
     for direction, line_angle, ray in lines:
@@ -551,14 +577,15 @@ def _extended_steps(sweep, alignment):
                 -direction if chan.mode == "complex" else -1.0
             )
             near, far = complex(near_amp * direction), complex(far_amp * direction)
-            p1, p2 = _limit_mass(chan, far_dir, sweep.rows(near, far), 0)
+            sweep.build((near, far))
+            p1, p2 = sweep.limit_mass(far_dir, near)
             meta = {
                 "ray": ray,
                 "line_angle": line_angle,
                 "regime": "searched",
                 "p1": p1,
                 "p2": p2,
-                "limit": None,
+                "limit": None,  # no limit column in the trace
             }
             for phi in pair_phis:
                 yield [(near, far, phi, (abs(far_amp), phi), meta)]
@@ -573,14 +600,15 @@ def _split_pair_steps(sweep, alignment):
     corner cell but into different legitimate cells, and the rate tends to
     h(phi).  One (amplitude, phi) step at a time, phi in grid order.
     """
-    chan, options = sweep.chan, sweep.options
+    options = sweep.options
     near_dir = cmath.rect(1.0, alignment.capital_phi)
     far_angle = alignment.capital_phi + QUARTER / 2.0
     far_dir = cmath.rect(1.0, far_angle)
     for k in range(options.max_doublings + 1):
         amp = 2.0**k
         near, far = complex(amp * near_dir), complex(amp * far_dir)
-        p1, p2 = _limit_mass(chan, far_dir, sweep.rows(near, far), 0)
+        sweep.build((near, far))
+        p1, p2 = sweep.limit_mass(far_dir, near)
         meta = {
             "ray": None,
             "line_angle": alignment.capital_phi,
@@ -590,7 +618,7 @@ def _split_pair_steps(sweep, alignment):
             "p2": p2,
         }
         for phi in options.phi_grid:
-            yield [(near, far, phi, (amp, phi), dict(meta, limit=zchannel_limit(phi, p1, p2)))]
+            yield [(near, far, phi, (amp, phi), meta)]
 
 
 def reduce_to_symmetric(chan):

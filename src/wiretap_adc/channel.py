@@ -7,7 +7,6 @@ and thresholds).  Each component is quantized independently, and joint
 outputs are enumerated as (real cell index) * k_I + (imag cell index).
 """
 
-import cmath
 import logging
 import math
 from dataclasses import dataclass
@@ -175,19 +174,19 @@ def transition_rows(channel, receiver, xs):
     flattened row-major: output (real cell) * k_I + (imag cell), where k_I is
     the imaginary quantizer's level count.
     """
-    xs = [complex(x) for x in xs]
-    for x in xs:
-        if not cmath.isfinite(x):
-            raise ValidationError(f"input must be finite, got {x!r}")
+    xs = np.asarray(xs, dtype=complex)
+    finite = np.isfinite(xs)
+    if not finite.all():
+        raise ValidationError(f"input must be finite, got {complex(xs[~finite][0])!r}")
     pair = channel.adc_for(receiver)
     w = channel.gain_for(receiver)
     if channel.mode == "real":
-        for x in xs:
-            if x.imag != 0.0:
-                raise ValidationError(f"real-mode input must be real, got {x}")
-        means = np.array([w.re * x.real for x in xs])
-        return _cells((pair.real_part,), means[:, None])
-    wx = np.array([w.value * x for x in xs])
+        if xs.imag.any():
+            x = complex(xs[xs.imag != 0.0][0])
+            raise ValidationError(f"real-mode input must be real, got {x}")
+        return _cells((pair.real_part,), w.re * xs.real[:, None])
+    # a Python complex multiply per mean: numpy's complex product can differ in the last bit
+    wx = np.array([w.value * x for x in xs.tolist()])
     cells = _cells((pair.real_part, pair.imag_part), np.stack((wx.real, wx.imag), axis=1))
     k = pair.real_part.levels
     return np.einsum("xr,xi->xri", cells[:, :k], cells[:, k:]).reshape(len(xs), -1)

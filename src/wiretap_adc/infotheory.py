@@ -17,7 +17,7 @@ from .util import complex_from_json, complex_to_json, require_finite
 PROB_SUM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiscreteInput:
     """Finite-support input distribution; points are complex (imag 0 in real mode)."""
 
@@ -73,7 +73,7 @@ class DiscreteInput:
         return cls(tuple(pts), tuple(obj["probs"]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RateReport:
     """I(X;Y1), I(X;Y2), their difference, and the input power."""
 
@@ -107,15 +107,21 @@ def _entropy_terms(w, ref):
 
 
 def _mutual_information_arrays(laws, W):
-    """I(X;Y) in bits under each input law, a row of laws (B, n), for rows W (n, K)."""
+    """I(X;Y) in bits under each input law, a row of laws (B, n), for rows W (n, K).
+
+    W may also stack the rows of P supports, shape (P, n, K); the result is
+    then one list of B rates per support.
+    """
     laws = np.asarray(laws, dtype=float)
     W = np.asarray(W, dtype=float)
-    # stacked products give each law the same vector products, and so the
-    # same bits, as a one-law call
-    py = laws[:, None, :] @ W
-    terms = np.where(laws[:, :, None] > 0.0, _entropy_terms(W[None], py), 0.0)
-    info = laws[:, None, :] @ terms.sum(axis=2)[:, :, None]
-    return [max(0.0, float(i)) for i in info.ravel()]  # max maps NaN and -0.0 to 0.0
+    stack = (W if W.ndim == 3 else W[None])[:, None]
+    # stacked products give each (support, law) the same vector products, and
+    # so the same bits, as a one-law call on that support alone
+    py = laws[None, :, None, :] @ stack
+    terms = np.where(laws[None, :, :, None] > 0.0, _entropy_terms(stack, py), 0.0)
+    info = laws[None, :, None, :] @ terms.sum(axis=3)[..., None]
+    rates = np.where(info > 0.0, info, 0.0).reshape(len(info), -1).tolist()  # NaN, -0.0 -> 0.0
+    return rates if W.ndim == 3 else rates[0]
 
 
 def _receiver_rows(chan, points):
@@ -124,7 +130,7 @@ def _receiver_rows(chan, points):
 
 
 def _rates_from_rows(laws, rows):
-    """[(i1, i2) under each input law] from _receiver_rows output; one kernel call per receiver."""
+    """(i1, i2) per law, or (i1s, i2s) per support of stacked rows; one kernel call per receiver."""
     return list(zip(*(_mutual_information_arrays(laws, w) for w in rows)))
 
 

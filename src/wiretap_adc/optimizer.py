@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import LinearConstraint, NonlinearConstraint, minimize
 
 from .adc import is_symmetric_one_bit
 from .channel import RECEIVERS, _cell_slopes
@@ -108,6 +107,12 @@ def _rate_and_gradient(chan, points, probs):
         densities = (w * log_ratio).sum(axis=1)
         grad += sign * np.concatenate([probs * slope_terms.sum(axis=1), densities])
     return i1 - i2, grad
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on first call: nothing else in the package loads it."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
 
 
 def _cleanup(points, probs):
@@ -220,6 +225,7 @@ def optimize_wyner_rate(chan, power_budget, config=None):
         rs, grad = _rate_and_gradient(chan, vec[:n], vec[n:])
         return -rs, -grad
 
+    from scipy.optimize import LinearConstraint, NonlinearConstraint
     bounds = [(None, None)] * n + [(0.0, 1.0)] * n
     simplex = LinearConstraint(np.concatenate([np.zeros(n), np.ones(n)]), 1.0, 1.0)
     budget = NonlinearConstraint(

@@ -9,6 +9,7 @@ the floor and the canonical construction's Z-channel limit rate, computed at
 50 digits, is positive; each such channel is printed with both numbers.
 """
 
+import hashlib
 import math
 import time
 from math import fsum
@@ -142,6 +143,32 @@ def test_c01_reported_rates_equal_fresh_secrecy_rates(construction_runs):
         fresh = secrecy_rate(chan, result.input)
         for field in ("i1", "i2", "rs", "power"):
             assert getattr(result.exact_rate, field) == getattr(fresh, field), (case, field)
+
+
+# sha256 over the repr of every C1 result (exhaustion diagnostics for an
+# exhausted config), one per line: the 200 default constructions, and the
+# first 20 in mode "best" with the trace kept.  A construction speedup must
+# keep every bit of them.
+C1_RESULTS_SHA256 = "e706ea6df233adb6e9e5c9fb905d2faabb83b48bed65e11c57b2b43dd53d31ab"
+C1_BEST_TRACED_SHA256 = "1a558bf74773292aed835f72c3f0400bb4864286e3c937994cf0f6d1cbd46e48"
+
+
+def _results_sha256(reprs):
+    return hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+
+
+def test_c01_results_are_byte_identical_to_frozen_digests(construction_runs):
+    runs, _ = construction_runs
+    reprs = [repr(diag if result is None else result) for _, _, result, diag in runs]
+    assert _results_sha256(reprs) == C1_RESULTS_SHA256
+    reprs = []
+    for case in range(20):
+        chan = criterion1_channel(rng_for(1, case), "real" if case % 2 else "complex")
+        try:
+            reprs.append(repr(achieve(chan, ConstructOptions(mode="best", keep_trace=True))))
+        except SweepExhaustedError as exc:
+            reprs.append(repr(exc.diagnostics))
+    assert _results_sha256(reprs) == C1_BEST_TRACED_SHA256
 
 
 def _random_complex_input(rng):

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from helpers import criterion1_channel, random_adc
+from wiretap_adc import achievability as achievability_mod
 from wiretap_adc import channel as channel_mod
 from wiretap_adc import infotheory as infotheory_mod
 from wiretap_adc import (
@@ -182,28 +183,33 @@ class TestConstruct:
             assert rs == i1 - i2
             assert 0.0 < phi < 1.0
 
-    def test_rows_built_once_per_pair(self, monkeypatch):
-        # C1 config 0: the canonical near amplitude is also the schedule's
-        # first far amplitude, so step 1 is (near, near) and evaluates
-        # nothing; step 2 evaluates 9 phis on (near, 2 near).  One
-        # transition_rows call per receiver and distinct pair gives 4 calls:
-        # the (near, near) rows serve the crossovers and the saturation check.
-        # Each of those builds takes one _cells call for both quantizer
-        # components, and the 9 phis take one batched kernel call per receiver.
-        calls = []
-
-        def count(module, name):
+    @staticmethod
+    def count_calls(monkeypatch, calls, *names):
+        for module, name in names:
             original = getattr(module, name)
 
-            def counted(*args, **kwargs):
-                calls.append((name, args))
-                return original(*args, **kwargs)
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append((_name, args))
+                return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
 
-        count(channel_mod, "transition_rows")
-        count(channel_mod, "_cells")
-        count(infotheory_mod, "_mutual_information_arrays")
+    def test_rows_built_once_per_point(self, monkeypatch):
+        # C1 config 0: the canonical near amplitude is also the schedule's
+        # first far amplitude, so step 1 is (near, near) and evaluates
+        # nothing; step 2 evaluates 9 phis on (near, 2 near).  One
+        # transition_rows call per receiver and new point gives 4 calls: the
+        # near point's rows serve the crossovers and the saturation check of
+        # step 1.  Each of those builds takes one _cells call for both
+        # quantizer components, and the 9 phis take one batched kernel call
+        # per receiver.
+        calls = []
+        self.count_calls(
+            monkeypatch, calls,
+            (channel_mod, "transition_rows"),
+            (channel_mod, "_cells"),
+            (infotheory_mod, "_mutual_information_arrays"),
+        )
         chan = criterion1_channel(np.random.default_rng([1, 1, 0]), "complex")
         res = construct_positive_rate(chan, ConstructOptions(keep_trace=True))
         assert len(res.trace) == 9
@@ -211,6 +217,39 @@ class TestConstruct:
         assert rows == ["legit", "eave"] * 2
         assert sum(name == "_cells" for name, _ in calls) == 4
         assert sum(name == "_mutual_information_arrays" for name, _ in calls) == 2
+
+    @pytest.mark.parametrize("case, mode", [(7, "real"), (28, "complex")])
+    def test_extended_rays_build_each_point_once_and_batch_pairs(self, monkeypatch, case, mode):
+        # C1 config 7 exhausts the sweep; config 28 runs every extended ray
+        # before its split pair clears the floor
+        calls, pairs = [], set()
+        self.count_calls(
+            monkeypatch, calls,
+            (channel_mod, "transition_rows"),
+            (infotheory_mod, "_mutual_information_arrays"),
+        )
+        consider = achievability_mod._Sweep.consider
+
+        def scored(sweep, near, far, *args):
+            if near != far:
+                pairs.add((near, far))
+            return consider(sweep, near, far, *args)
+
+        monkeypatch.setattr(achievability_mod._Sweep, "consider", scored)
+        chan = criterion1_channel(np.random.default_rng([1, 1, case]), mode)
+        try:
+            construct_positive_rate(chan)
+        except SweepExhaustedError:
+            assert case == 7
+        built = {
+            receiver: [x for name, args in calls if name == "transition_rows"
+                       and args[1] == receiver for x in args[2]]
+            for receiver in ("legit", "eave")
+        }
+        assert built["legit"] == built["eave"]
+        assert len(built["legit"]) == len(set(built["legit"]))
+        kernel_calls = sum(name == "_mutual_information_arrays" for name, _ in calls)
+        assert kernel_calls < len(pairs)
 
     def test_rate_positive_across_random_channels(self):
         rng = np.random.default_rng(21)

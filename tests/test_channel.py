@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from helpers import random_adc
+from wiretap_adc import channel as channel_mod
 from wiretap_adc import (
     AdcSpec,
     ComplexAdcPair,
@@ -116,6 +117,23 @@ def test_transition_rows_matches_single_row():
     for k, x in enumerate(xs):
         np.testing.assert_array_equal(stacked[k], transition_row(chan, "eave", x))
     assert np.allclose(stacked.sum(axis=1), 1.0, atol=ROW_SUM_TOL)
+
+
+def test_complex_means_use_the_scalar_gain_product():
+    # numpy's vectorised complex product rounds differently from Python's on
+    # some inputs; the rows must be the cells of the scalar products, bit for bit
+    rng = np.random.default_rng(23)
+    eave = ComplexAdcPair(random_adc(rng), random_adc(rng))
+    w2 = complex(*rng.normal(size=2))
+    xs = (rng.normal(size=64) + 1j * rng.normal(size=64)).tolist()
+    means = np.array([w2 * x for x in xs])
+    assert (w2 * np.array(xs) != means).any()
+    chan = make_channel(mode="complex", w2=(w2.real, w2.imag), eave=eave)
+    specs = (eave.real_part, eave.imag_part)
+    cells = channel_mod._cells(specs, np.stack((means.real, means.imag), axis=1))
+    k = eave.real_part.levels
+    want = (cells[:, :k, None] * cells[:, None, k:]).reshape(len(xs), -1)
+    np.testing.assert_array_equal(transition_rows(chan, "eave", xs), want)
 
 
 @pytest.mark.parametrize(

@@ -69,26 +69,36 @@ def _one_law_mi(p, w):
     return max(0.0, float(p @ np.where(p[:, None] > 0.0, terms, 0.0).sum(axis=1)))
 
 
-@pytest.mark.parametrize("n,k,batch", [(2, 4, 9), (2, 64, 9), (64, 4096, 4)])
-def test_batched_kernel_matches_one_law_calls_bit_for_bit(n, k, batch):
+@pytest.mark.parametrize(
+    "n,k,batch,supports",
+    [(2, 4, 9, 16), (2, 64, 9, 16), (64, 4096, 4, 2)],
+    ids=["2-4-9", "2-64-9", "64-4096-4"],
+)
+def test_batched_kernel_matches_one_law_calls_bit_for_bit(n, k, batch, supports):
     # shapes of a construction step (two points, 2x2- and 8x8-level ADC
-    # pairs) and of the wide benchmark's 64-level complex channels
+    # pairs; up to 16 pairs per call) and of the wide benchmark's 64-level
+    # complex channels
     rng = np.random.default_rng([7, n, k])
     for _ in range(3):
-        rows = random_stochastic_matrix(rng, n, k)
-        rows[rng.random(rows.shape) < 0.2] = 0.0
-        rows[rows.sum(axis=1) == 0.0, 0] = 1.0
-        rows /= rows.sum(axis=1, keepdims=True)
+        stack = []
+        for _ in range(supports):
+            rows = random_stochastic_matrix(rng, n, k)
+            rows[rng.random(rows.shape) < 0.2] = 0.0
+            rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+            stack.append(rows / rows.sum(axis=1, keepdims=True))
         laws = rng.dirichlet(np.ones(n), size=batch)
         laws[rng.random(laws.shape) < 0.25] = 0.0
         laws[0] = np.eye(n)[0]
         laws[laws.sum(axis=1) == 0.0, -1] = 1.0
         laws /= laws.sum(axis=1, keepdims=True)
-        got = _mutual_information_arrays(laws, rows)
-        assert len(got) == batch
-        for law, value in zip(laws, got):
-            assert value == _mutual_information_arrays(law[None, :], rows)[0]
-            assert value == _one_law_mi(law, rows)
+        stacked = _mutual_information_arrays(laws, np.array(stack))
+        assert len(stacked) == supports
+        for rows, got in zip(stack, stacked):
+            assert got == _mutual_information_arrays(laws, rows)
+            assert len(got) == batch
+            for law, value in zip(laws, got):
+                assert value == _mutual_information_arrays(law[None, :], rows)[0]
+                assert value == _one_law_mi(law, rows)
 
 
 def test_secrecy_rate_report_fields():
