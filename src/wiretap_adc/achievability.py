@@ -9,7 +9,8 @@ eavesdropper's whenever the near amplitude clears the feasibility bound, so
 the rate difference is positive in the limit and, by continuity, at some
 finite far amplitude.
 
-The sweep is deterministic.  It runs stages of steps, each step a group of
+The sweep is deterministic and takes no tuning: RATE_FLOOR, PHI_GRID and
+_MAX_DOUBLINGS are fixed.  It runs stages of steps, each step a group of
 candidates: the canonical margin-rule amplitude with one step per far
 amplitude of a doubling schedule (the whole phi grid there); if that clears
 nothing, an extended stage (the schedule on quarter-turn rotated rays from
@@ -25,7 +26,8 @@ once a stage ends with it above the floor.
 Rows once per point; ray schedules scored in batches.  Each point's rows at
 both receivers are built once per construction and serve all its pairs and
 crossover and saturation lookups.  Extended-stage rays score the phi grids of
-many pairs per kernel call; the other stages score one pair at a time.
+many pairs per kernel call; the other stages score one pair at a time, riding
+and split pairs only at the phis their steps read.
 """
 
 import cmath
@@ -53,7 +55,10 @@ QUARTER = math.pi / 2.0
 # m -> limit output of the legitimate one-bit pair, sqrt(2)*e^{j(m*pi/2 - pi/4)}
 _Y1_BAR = {1: 1 + 1j, 2: -1 + 1j, 3: -1 - 1j, 4: 1 - 1j}
 
-DEFAULT_PHI_GRID = (0.5, 0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9)
+RATE_FLOOR = 1e-9
+PHI_GRID = (0.5, 0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9)
+# far schedules and split pairs end at 2^_MAX_DOUBLINGS times their first amplitude
+_MAX_DOUBLINGS = 40
 
 # Extended-stage refinements of the near amplitude toward the feasibility
 # bound, as fractions of the canonical safety margin.
@@ -78,22 +83,13 @@ class PhaseAlignment:
 
 @dataclass(frozen=True)
 class ConstructOptions:
-    rate_floor: float = 1e-9
     # "first" or "best": the stop rule in the module docstring
     mode: str = "first"
-    phi_grid: tuple = DEFAULT_PHI_GRID
-    max_doublings: int = 40
-    extended: bool = True
     keep_trace: bool = False
 
     def __post_init__(self):
         if self.mode not in ("first", "best"):
             raise ValidationError(f"options.mode must be 'first' or 'best', got {self.mode!r}")
-        if self.max_doublings < 0:
-            raise ValidationError("max_doublings must be >= 0")
-        for phi in self.phi_grid:
-            if not 0.0 < phi < 1.0:
-                raise ValidationError(f"phi grid values must lie in (0, 1), got {phi!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,6 +231,13 @@ def _limit_cell_indices(chan, direction):
     return tuple(indices)
 
 
+def _require_theta(theta):
+    theta = require_finite("theta", theta)
+    if not 0.0 < theta <= math.pi / 4.0:
+        raise ValidationError(f"theta must lie in (0, pi/4], got {theta!r}")
+    return theta
+
+
 def crossover_probs(chan, theta, a):
     """Z-channel crossovers of the canonical construction at near amplitude a.
 
@@ -250,9 +253,7 @@ def crossover_probs(chan, theta, a):
     if chan.mode == "real":
         direction = 1.0 if chan.w2.re > 0.0 else -1.0
     else:
-        theta = require_finite("theta", theta)
-        if not 0.0 < theta <= math.pi / 4.0:
-            raise ValidationError(f"theta must lie in (0, pi/4], got {theta!r}")
+        theta = _require_theta(theta)
         direction = cmath.rect(1.0, theta - chan.w2.phase)
     return _Sweep(chan, ConstructOptions()).limit_mass(direction, complex(a * direction))
 
@@ -270,9 +271,7 @@ def choose_amplitude(chan, theta=None):
     if chan.mode == "real":
         bound = chan.eave_adc.real_part.thresholds[-1] / s
     else:
-        theta = require_finite("theta", theta)
-        if not 0.0 < theta <= math.pi / 4.0:
-            raise ValidationError(f"theta must lie in (0, pi/4], got {theta!r}")
+        theta = _require_theta(theta)
         top_r = chan.eave_adc.real_part.thresholds[-1]
         top_i = chan.eave_adc.imag_part.thresholds[-1]
         cands = (top_r / (s * math.cos(theta)), top_i / (s * math.sin(theta)))
@@ -290,7 +289,7 @@ class _Sweep:
 
     Rows once per point; ray schedules scored in batches.  It keeps both
     receivers' rows of every point and the limit cells of every direction the
-    construction meets, and the rates at every grid phi of the pairs scored last.
+    construction meets, and the rates of the pairs scored last.
     """
 
     def __init__(self, chan, options):
@@ -315,30 +314,32 @@ class _Sweep:
         (idx1, idx2), (row1, row2) = self._cells[direction], self._rows[point]
         return float(row1[idx1]), float(row2[idx2])
 
-    def score(self, pairs):
-        """Each pair's rates at every grid phi, replacing those kept; _BATCH_PAIRS a kernel call."""
-        grid, pairs = self.options.phi_grid, list(dict.fromkeys(pairs))
+    def score(self, pairs, phis):
+        """Each pair's rates at phis, replacing those kept; _BATCH_PAIRS a kernel call.
+
+        Pairs of coincident points are skipped.
+        """
+        pairs = [pair for pair in dict.fromkeys(pairs) if pair[0] != pair[1]]
         self._rates = {}
         self.build(point for pair in pairs for point in pair)
+        laws = [(p, 1.0 - p) for p in phis]
         for start in range(0, len(pairs), _BATCH_PAIRS):
             batch = pairs[start : start + _BATCH_PAIRS]
             rows = [[(self._rows[a][r], self._rows[b][r]) for a, b in batch] for r in (0, 1)]
-            for pair, rates in zip(batch, _rates_from_rows([(p, 1.0 - p) for p in grid], rows)):
-                self._rates[pair] = dict(zip(grid, zip(*rates)))
+            for pair, rates in zip(batch, _rates_from_rows(laws, rows)):
+                self._rates[pair] = dict(zip(phis, zip(*rates)))
 
     def consider(self, near, far, phi, sort_key, meta):
-        """Evaluate one pair; returns the candidate when it clears the floor."""
+        """Evaluate one scored pair; returns the candidate when it clears the floor."""
         if near == far:
             return None
-        if (near, far) not in self._rates:
-            self.score([(near, far)])
         i1, i2 = self._rates[(near, far)][phi]
         rs = i1 - i2
         self.evaluations += 1
         if self.trace is not None:
             limit = meta.get("limit", zchannel_limit(phi, meta["p1"], meta["p2"]))
             self.trace.append((sort_key[0], phi, i1, i2, rs, limit))
-        hit = rs > self.options.rate_floor
+        hit = rs > RATE_FLOOR
         best = self.best is None or rs > self.best[0] or (
             rs == self.best[0] and sort_key < self.best[1])
         if not (best or hit):
@@ -368,7 +369,7 @@ def _far_points(sweep, near_amp, direction):
     Stops after the first saturated far point, checked when the next one is asked for.
     """
     base = max(abs(near_amp), 1.0)
-    for k in range(sweep.options.max_doublings + 1):
+    for k in range(_MAX_DOUBLINGS + 1):
         far_amp = base * 2.0**k
         far = complex(far_amp * direction)
         yield far_amp, far
@@ -404,7 +405,7 @@ def construct_positive_rate(chan, options=None):
     The channel must already have a symmetric one-bit legitimate receiver
     (reduce_to_symmetric handles general legitimate ADCs).  Raises
     EqualGainError when |w1| == |w2| and SweepExhaustedError (with
-    diagnostics) when no candidate clears options.rate_floor.
+    diagnostics) when no candidate clears RATE_FLOOR.
     """
     options = options or ConstructOptions()
     if not chan.has_symmetric_one_bit_legit():
@@ -426,17 +427,15 @@ def construct_positive_rate(chan, options=None):
         direction = cmath.rect(1.0, alignment.capital_phi)
         canonical = _ray_steps(sweep, a, direction, alignment.capital_phi, 0, "limit")
 
-    stages = [("canonical", canonical)]
-    if options.extended:
-        stages.append(("extended", _extended_steps(sweep, alignment)))
-        if chan.mode == "complex" and alignment.theta < math.pi / 4.0:
-            stages.append(("split_pair", _split_pair_steps(sweep, alignment)))
+    stages = [("canonical", canonical), ("extended", _extended_steps(sweep, alignment))]
+    if chan.mode == "complex" and alignment.theta < math.pi / 4.0:
+        stages.append(("split_pair", _pair_steps(sweep, _split_pairs(alignment), PHI_GRID)))
     stage_evaluations = {}
     for name, steps in stages:
         before = sweep.evaluations
         hit = sweep.first_hit(steps)
         stage_evaluations[name] = sweep.evaluations - before
-        if hit is None and sweep.best is not None and sweep.best[0] > options.rate_floor:
+        if hit is None and sweep.best is not None and sweep.best[0] > RATE_FLOOR:
             hit = sweep.best[2]
         if hit is not None:
             return _result(chan, alignment, hit, sweep.trace)
@@ -445,7 +444,7 @@ def construct_positive_rate(chan, options=None):
     raise SweepExhaustedError(
         "no two-point candidate exceeded the rate floor",
         diagnostics={
-            "rate_floor": options.rate_floor,
+            "rate_floor": RATE_FLOOR,
             "best_rate": best_rs,
             "best_candidate": None
             if best_cand is None
@@ -499,11 +498,11 @@ def _ray_steps(sweep, near_amp, direction, line_angle, ray, regime):
     near = complex(near_amp * direction)
     meta = None
     for far_amp, far in _far_points(sweep, near_amp, direction):
-        sweep.build((near, far))
+        sweep.score([(near, far)], PHI_GRID)
         if meta is None:
             p1, p2 = sweep.limit_mass(direction, near)
             meta = {"ray": ray, "line_angle": line_angle, "regime": regime, "p1": p1, "p2": p2}
-        yield [(near, far, phi, (far_amp, phi), meta) for phi in sweep.options.phi_grid]
+        yield [(near, far, phi, (far_amp, phi), meta) for phi in PHI_GRID]
 
 
 def _batched_ray_steps(sweep, near_amps, direction, line_angle, ray):
@@ -528,12 +527,12 @@ def _batched_ray_steps(sweep, near_amps, direction, line_angle, ray):
             sweep.build(new + [fars[k][1] for _, fars in growing])
             new, k = [], k + 1
         pairs = [(near, far) for near, fars in zip(nears, schedules) for _, far in fars]
-        sweep.score(pair for pair in pairs if pair[0] != pair[1])
+        sweep.score(pairs, PHI_GRID)
         for near, fars in zip(nears, schedules):
             p1, p2 = sweep.limit_mass(direction, near)
             meta = {"ray": ray, "line_angle": line_angle, "regime": "searched", "p1": p1, "p2": p2}
             for far_amp, far in fars:
-                yield [(near, far, phi, (far_amp, phi), meta) for phi in sweep.options.phi_grid]
+                yield [(near, far, phi, (far_amp, phi), meta) for phi in PHI_GRID]
 
 
 def _extended_steps(sweep, alignment):
@@ -546,7 +545,7 @@ def _extended_steps(sweep, alignment):
     (0.5, 0.3, 0.7) order, which covers eavesdropper-pinning inputs the
     schedule cannot reach.
     """
-    chan, options = sweep.chan, sweep.options
+    chan = sweep.chan
     s = chan.w2.magnitude - chan.w1.magnitude
     if chan.mode == "complex":
         base = alignment.capital_phi
@@ -565,60 +564,56 @@ def _extended_steps(sweep, alignment):
         amps = list(dict.fromkeys(amp for amp in amps if math.isfinite(amp)))
         yield from _batched_ray_steps(sweep, amps, direction, line_angle, ray)
 
-    pair_phis = [p for p in (0.5, 0.3, 0.7) if p in options.phi_grid] or [options.phi_grid[0]]
+    yield from _pair_steps(sweep, _riding_pairs(chan, lines), (0.5, 0.3, 0.7))
+
+
+def _pair_steps(sweep, pairs, phis):
+    """One step per (pair, phi), phis in the given order; each pair scored once, at phis.
+
+    pairs yields (near, far, limit direction, sort amplitude, meta); the near
+    point's mass in the limit direction's cells gives the step's p1 and p2.
+    """
+    for near, far, limit_dir, amp, meta in pairs:
+        sweep.score([(near, far)], phis)
+        p1, p2 = sweep.limit_mass(limit_dir, near)
+        meta = {**meta, "p1": p1, "p2": p2}
+        for phi in phis:
+            yield [(near, far, phi, (amp, phi), meta)]
+
+
+def _riding_pairs(chan, lines):
+    """Pairs of threshold-riding amplitudes (and zero) on each line, smallest first."""
     for direction, line_angle, ray in lines:
+        # "limit": None leaves the trace's limit column empty
+        meta = {"ray": ray, "line_angle": line_angle, "regime": "searched", "limit": None}
         values = sorted(set(_ray_threshold_riders(chan, direction)) | {0.0})
         pairs = [(u, v) for i, u in enumerate(values) for v in values[i + 1 :]]
         pairs.sort(key=lambda p: (abs(p[0]) + abs(p[1]), p))
         for u, v in pairs:
             near_amp, far_amp = (u, v) if abs(u) <= abs(v) else (v, u)
             # orient the far role along the larger amplitude for diagnostics
-            far_dir = direction if far_amp >= 0.0 else (
-                -direction if chan.mode == "complex" else -1.0
-            )
+            far_dir = direction if far_amp >= 0.0 else -direction
             near, far = complex(near_amp * direction), complex(far_amp * direction)
-            sweep.build((near, far))
-            p1, p2 = sweep.limit_mass(far_dir, near)
-            meta = {
-                "ray": ray,
-                "line_angle": line_angle,
-                "regime": "searched",
-                "p1": p1,
-                "p2": p2,
-                "limit": None,  # no limit column in the trace
-            }
-            for phi in pair_phis:
-                yield [(near, far, phi, (abs(far_amp), phi), meta)]
+            yield near, far, far_dir, abs(far_amp), meta
 
 
-def _split_pair_steps(sweep, alignment):
+def _split_pairs(alignment):
     """Near point on the canonical ray, far point half a quarter-turn further.
 
     With theta < pi/4 the eavesdropper sees both rays inside its first
     quadrant while the legitimate receiver sees them in adjacent quadrants,
     so at equal amplitudes 2^k both points saturate into one eavesdropper
     corner cell but into different legitimate cells, and the rate tends to
-    h(phi).  One (amplitude, phi) step at a time, phi in grid order.
+    h(phi).
     """
-    options = sweep.options
     near_dir = cmath.rect(1.0, alignment.capital_phi)
     far_angle = alignment.capital_phi + QUARTER / 2.0
     far_dir = cmath.rect(1.0, far_angle)
-    for k in range(options.max_doublings + 1):
+    meta = {"ray": None, "line_angle": alignment.capital_phi, "far_angle": far_angle,
+            "regime": "searched"}
+    for k in range(_MAX_DOUBLINGS + 1):
         amp = 2.0**k
-        near, far = complex(amp * near_dir), complex(amp * far_dir)
-        sweep.build((near, far))
-        p1, p2 = sweep.limit_mass(far_dir, near)
-        meta = {
-            "ray": None,
-            "line_angle": alignment.capital_phi,
-            "far_angle": far_angle,
-            "regime": "searched",
-            "p1": p1,
-            "p2": p2,
-        }
-        for phi in options.phi_grid:
-            yield [(near, far, phi, (amp, phi), meta)]
+        yield complex(amp * near_dir), complex(amp * far_dir), far_dir, amp, meta
 
 
 def reduce_to_symmetric(chan):

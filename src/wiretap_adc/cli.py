@@ -33,7 +33,7 @@ from .optimizer import (
 )
 from .util import require_finite
 
-_ACHIEVE_KEYS = {"rate_floor", "mode", "phi_grid", "max_doublings", "extended"}
+_ACHIEVE_KEYS = {"mode"}
 _OPTIMIZE_KEYS = {"support_size", "restarts", "seed", "max_iterations"}
 _SWEEP_AXES = ("b", "w2_mag", "J")
 
@@ -105,22 +105,22 @@ def _budget_from(cfg, required=True):
     return float(cfg["J"])
 
 
-def _construct_options(cfg, keep_trace=False):
-    section = cfg.get("achieve", {})
-    unknown = set(section) - _ACHIEVE_KEYS
+def _options_section(cfg, name, keys):
+    """A copy of the config's options section `name`, rejecting keys outside `keys`."""
+    section = cfg.get(name, {})
+    unknown = set(section) - keys
     if unknown:
-        raise ValidationError(f"unknown achieve options: {sorted(unknown)}")
-    kwargs = dict(section)
-    if "phi_grid" in kwargs:
-        kwargs["phi_grid"] = tuple(float(p) for p in kwargs["phi_grid"])
-    return ConstructOptions(keep_trace=keep_trace, **kwargs)
+        raise ValidationError(f"unknown {name} options: {sorted(unknown)}")
+    return dict(section)
+
+
+def _construct_options(cfg, keep_trace=False):
+    section = _options_section(cfg, "achieve", _ACHIEVE_KEYS)
+    return ConstructOptions(keep_trace=keep_trace, **section)
 
 
 def _optimize_config(cfg, seed_override):
-    section = dict(cfg.get("optimize", {}))
-    unknown = set(section) - _OPTIMIZE_KEYS
-    if unknown:
-        raise ValidationError(f"unknown optimize options: {sorted(unknown)}")
+    section = _options_section(cfg, "optimize", _OPTIMIZE_KEYS)
     if seed_override is not None:
         section["seed"] = seed_override
     return OptimizeConfig(**section)

@@ -321,15 +321,15 @@ def _limit_deviation(chan, result):
 def _suite_limit_convergence(rng):
     worst = 0.0
     cases = 0
-    options = ConstructOptions(extended=False)
     attempts = 0
     while cases < 4 and attempts < 20:
         attempts += 1
         chan = _safe_channel(rng, "complex" if attempts % 2 else "real")
         if not chan.has_symmetric_one_bit_legit():
             continue
+        # exhaustions and "searched" results have no limit to check
         try:
-            result = achieve(chan, options)
+            result = achieve(chan)
         except SweepExhaustedError:
             continue
         dev, checked = _limit_deviation(chan, result)

@@ -52,6 +52,7 @@ from wiretap_adc import (
     secrecy_rate,
     z_rate,
 )
+from wiretap_adc.achievability import PHI_GRID
 from wiretap_adc.infotheory import _mutual_information_arrays, information_densities
 from wiretap_adc.verification import _limit_deviation
 
@@ -92,9 +93,7 @@ def _certify_exhaustion(chan, best_rate):
     what the construction saw, and the canonical limit rate is positive.
     """
     two_point, _ = oracles.real_two_point_max(chan)
-    limit = oracles.canonical_limit_rate(
-        chan, choose_amplitude(chan), ConstructOptions().phi_grid
-    )
+    limit = oracles.canonical_limit_rate(chan, choose_amplitude(chan), PHI_GRID)
     ok = best_rate - 1e-12 <= two_point <= 1e-9 and limit > 0
     return ok, f"two-point max={two_point:.3e} limit rate={mp.nstr(limit, 3)}"
 

@@ -251,6 +251,39 @@ class TestConstruct:
         kernel_calls = sum(name == "_mutual_information_arrays" for name, _ in calls)
         assert kernel_calls < len(pairs)
 
+    def test_riding_pairs_are_scored_only_at_the_phis_read(self, monkeypatch):
+        # C1-family seed [5, 5, 57]: a riding pair misses at phi 0.5 and
+        # clears the floor at 0.3.  Each riding pair is scored once, in one
+        # kernel call per receiver carrying only the 3 phis its steps read.
+        calls, riding = [], set()
+        self.count_calls(monkeypatch, calls, (infotheory_mod, "_mutual_information_arrays"))
+        sweep_cls = achievability_mod._Sweep
+        score, consider = sweep_cls.score, sweep_cls.consider
+
+        def scoring(sweep, pairs, *args):
+            pairs = list(pairs)
+            calls.append(("score", pairs))
+            return score(sweep, pairs, *args)
+
+        def considering(sweep, near, far, phi, sort_key, meta):
+            if "limit" in meta:  # only riding pairs leave the trace's limit column empty
+                riding.add((near, far))
+            return consider(sweep, near, far, phi, sort_key, meta)
+
+        monkeypatch.setattr(sweep_cls, "score", scoring)
+        monkeypatch.setattr(sweep_cls, "consider", considering)
+        chan = criterion1_channel(np.random.default_rng([5, 5, 57]), "real")
+        res = construct_positive_rate(chan)
+        assert (res.regime, res.phi) == ("searched", 0.3)
+        laws = {}
+        for name, args in calls:
+            if name == "score":
+                scored = tuple(args)
+            elif set(scored) <= riding:
+                laws.setdefault(scored, []).append(len(args[0]))
+        assert set(laws) == {(pair,) for pair in riding}
+        assert {tuple(counts) for counts in laws.values()} == {(3, 3)}
+
     def test_rate_positive_across_random_channels(self):
         rng = np.random.default_rng(21)
         done = 0
@@ -333,10 +366,6 @@ class TestConstruct:
     def test_options_validation(self):
         with pytest.raises(ValidationError):
             ConstructOptions(mode="worst")
-        with pytest.raises(ValidationError):
-            ConstructOptions(phi_grid=(0.5, 1.0))
-        with pytest.raises(ValidationError):
-            ConstructOptions(max_doublings=-1)
 
     def test_needs_symmetric_one_bit_legit(self):
         bad = WiretapChannel(

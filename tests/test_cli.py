@@ -1,6 +1,7 @@
 """End-to-end checks of the command line, driven in-process through main()."""
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -114,12 +115,22 @@ class TestAchieve:
         assert payload["power_budget"] == 2.0
         assert 0.0 < payload["alpha"] < 1.0
 
-    def test_unknown_option_rejected(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path, channel=worked_channel().to_json(), achieve={"tolerance": 1e-6}
-        )
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("tolerance", 1e-6),
+            # the search constants are fixed, not options
+            ("rate_floor", 1e-9),
+            ("phi_grid", []),
+            ("max_doublings", 40),
+            ("extended", False),
+        ],
+        ids=["tolerance", "rate_floor", "phi_grid", "max_doublings", "extended"],
+    )
+    def test_unknown_option_rejected(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, channel=worked_channel().to_json(), achieve={key: value})
         assert main(["achieve", "--config", cfg]) == 2
-        assert "tolerance" in capsys.readouterr().err
+        assert key in capsys.readouterr().err
 
 
 class TestOptimize:
@@ -247,7 +258,16 @@ class TestSweep:
         assert capsys.readouterr().out == ""
 
 
+# sha256 of what `wiretap-adc verify --seed 0` prints
+VERIFY_SEED_0_SHA256 = "87b2a759a0116e4a1a9b5e7aa582b6a48fe43ba1163be30995f68465266ae141"
+
+
 class TestVerify:
+    def test_seed_0_output_is_byte_identical_to_frozen_digest(self, capsys):
+        assert main(["verify", "--seed", "0"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SEED_0_SHA256
+
     def test_subset_passes(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, verify={"seed": 3, "suites": ["closed_forms", "entropy_identity"]}
