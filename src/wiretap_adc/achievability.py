@@ -48,7 +48,7 @@ from .infotheory import (
     secrecy_rate,
     z_rate,
 )
-from .util import require_finite
+from .util import require_budget, require_finite
 
 QUARTER = math.pi / 2.0
 
@@ -657,9 +657,7 @@ def apply_power_constraint(result, power_budget):
     alpha = min(1, J / E[|X|^2]); transmitting an alpha fraction of the time
     scales both the average power and the achievable rate linearly.
     """
-    j = require_finite("power_budget", power_budget)
-    if j <= 0.0:
-        raise ValidationError(f"power budget must be positive, got {j!r}")
+    j = require_budget(power_budget)
     power = result.exact_rate.power
     if power <= j or power == 0.0:
         alpha = 1.0
@@ -698,9 +696,7 @@ def qpsk_bound(chan, power_budget):
     symmetric channels with I(X;Y1) = 2(1 - h(Q(|w1| sqrt(J/2)))), and the
     secrecy rate is at least 2(h(Q(|w2| sqrt(J/2))) - h(Q(|w1| sqrt(J/2)))).
     """
-    j = require_finite("power_budget", power_budget)
-    if j <= 0.0:
-        raise ValidationError(f"power budget must be positive, got {j!r}")
+    j = require_budget(power_budget)
     if chan.mode != "complex":
         raise ValidationError("qpsk_bound needs a complex-mode channel")
     for pair in (chan.legit_adc, chan.eave_adc):

@@ -10,8 +10,6 @@ matters.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ValidationError
 from .util import require_finite
 
@@ -52,13 +50,6 @@ class AdcSpec:
     @property
     def levels(self):
         return len(self.outputs)
-
-    def cell_edges(self):
-        """(lower, upper) edge arrays including the infinite end cells."""
-        t = np.asarray(self.thresholds, dtype=float)
-        lo = np.concatenate(([-np.inf], t))
-        hi = np.concatenate((t, [np.inf]))
-        return lo, hi
 
     def to_json(self):
         return {"thresholds": list(self.thresholds), "outputs": list(self.outputs)}

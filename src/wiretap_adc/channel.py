@@ -126,24 +126,31 @@ def q_function(x):
     return float(ndtr(-x))
 
 
+def _edge_offsets(specs, means):
+    """Edges (-inf, thresholds, +inf) of the ADCs in specs side by side, and edge - mean."""
+    edges = np.array([e for spec in specs for e in (-np.inf, *spec.thresholds, np.inf)])
+    m = np.repeat(np.asarray(means, dtype=float), [spec.levels + 1 for spec in specs], axis=1)
+    return edges, edges - m
+
+
 def _cells(specs, means):
     """Probability of each cell for Gaussian(mean, 1) samples; stable in the tails.
 
     Row i holds the cells of every ADC in specs side by side, those of specs[j]
-    for mean means[i, j].  For cell (lo, hi) with a = lo - mean and b = hi - mean
-    the difference of tails is taken in the direction that avoids cancellation:
-    right tail when a >= 0, left tail when b <= 0, and 1 minus both tails when
-    the mean is inside the cell.
+    for mean means[i, j].  Both tails are evaluated once per edge, and cell
+    (lo, hi) takes the difference in the direction that avoids cancellation:
+    right tails when lo >= mean, left tails when hi <= mean, and 1 minus both
+    outer tails when the mean is inside the cell.
     """
-    lo, hi = (np.concatenate(e) for e in zip(*(spec.cell_edges() for spec in specs)))
-    m = np.repeat(np.asarray(means, dtype=float), [spec.levels for spec in specs], axis=1)
-    a = lo[None, :] - m
-    b = hi[None, :] - m
+    edges, d = _edge_offsets(specs, means)
+    left, right = ndtr(d), ndtr(-d)
     out = np.where(
-        a >= 0.0,
-        ndtr(-a) - ndtr(-b),
-        np.where(b <= 0.0, ndtr(b) - ndtr(a), 1.0 - ndtr(a) - ndtr(-b)),
+        d[:, :-1] >= 0.0,
+        right[:, :-1] - right[:, 1:],
+        np.where(d[:, 1:] <= 0.0, left[:, 1:] - left[:, :-1], 1.0 - left[:, :-1] - right[:, 1:]),
     )
+    # drop the (+inf, -inf) column between two ADCs; take keeps the rows C-ordered
+    out = np.take(out, np.flatnonzero(edges[:-1] != np.inf), axis=1)
     np.clip(out, 0.0, 1.0, out=out)
     tiny = (out > 0.0) & (out < UNDERFLOW_FLOOR)
     if tiny.any():
@@ -155,10 +162,9 @@ def _cells(specs, means):
 def _cell_slopes(channel, receiver, xs):
     """d/dx of each real-mode transition_rows entry: gain * (phi(lo - w x) - phi(hi - w x))."""
     w = channel.gain_for(receiver).re
-    lo, hi = channel.adc_for(receiver).real_part.cell_edges()
-    m = w * np.asarray(xs, dtype=float)[:, None]
-    pdf_lo, pdf_hi = (np.exp(-0.5 * (edge - m) ** 2) for edge in (lo, hi))
-    return w * (pdf_lo - pdf_hi) / math.sqrt(2.0 * math.pi)
+    _, d = _edge_offsets((channel.adc_for(receiver).real_part,), np.outer(xs, w))
+    pdf = np.exp(-0.5 * d**2)
+    return w * (pdf[:, :-1] - pdf[:, 1:]) / math.sqrt(2.0 * math.pi)
 
 
 def transition_row(channel, receiver, x):

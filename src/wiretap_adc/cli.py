@@ -35,7 +35,9 @@ from .util import require_finite
 
 _ACHIEVE_KEYS = {"mode"}
 _OPTIMIZE_KEYS = {"support_size", "restarts", "seed", "max_iterations"}
+_SWEEP_KEYS = {"axis", "start", "stop", "num", "scale"}
 _SWEEP_AXES = ("b", "w2_mag", "J")
+_VERIFY_KEYS = {"seed", "suites"}
 
 TRACE_HEADERS = {
     "achieve": ("b", "phi", "i1", "i2", "rs", "limit_rate"),
@@ -108,6 +110,8 @@ def _budget_from(cfg, required=True):
 def _options_section(cfg, name, keys):
     """A copy of the config's options section `name`, rejecting keys outside `keys`."""
     section = cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise ValidationError(f"config section {name!r} must be a JSON object, got {section!r}")
     unknown = set(section) - keys
     if unknown:
         raise ValidationError(f"unknown {name} options: {sorted(unknown)}")
@@ -117,13 +121,6 @@ def _options_section(cfg, name, keys):
 def _construct_options(cfg, keep_trace=False):
     section = _options_section(cfg, "achieve", _ACHIEVE_KEYS)
     return ConstructOptions(keep_trace=keep_trace, **section)
-
-
-def _optimize_config(cfg, seed_override):
-    section = _options_section(cfg, "optimize", _OPTIMIZE_KEYS)
-    if seed_override is not None:
-        section["seed"] = seed_override
-    return OptimizeConfig(**section)
 
 
 def _write_text(path, text):
@@ -184,7 +181,10 @@ def cmd_optimize(args):
     cfg = _load_config(args)
     chan = _channel_from(cfg)
     j = _budget_from(cfg)
-    config = _optimize_config(cfg, args.seed)
+    section = _options_section(cfg, "optimize", _OPTIMIZE_KEYS)
+    if args.seed is not None:
+        section["seed"] = args.seed
+    config = OptimizeConfig(**section)
     result = optimize_wyner_rate(chan, j, config)
     kkt = kkt_check(chan, result.input, j)
     if chan.w1.magnitude == chan.w2.magnitude:
@@ -205,11 +205,11 @@ def cmd_optimize(args):
 
 def cmd_kkt_check(args):
     cfg = _load_config(args)
+    _options_section(cfg, "kkt", set())  # no options: the grid is optimizer.KKT_GRID_POINTS
     chan = _channel_from(cfg)
     dist = _input_from(cfg)
     j = _budget_from(cfg)
-    grid_points = int(cfg.get("kkt", {}).get("grid_points", 2001))
-    report = kkt_check(chan, dist, j, grid_points=grid_points)
+    report = kkt_check(chan, dist, j)
     flat = report.to_json()
     header = (
         "lambda",
@@ -255,7 +255,7 @@ def _sweep_grid(section):
 def cmd_sweep(args):
     cfg = _load_config(args)
     chan = _channel_from(cfg)
-    axis, values = _sweep_grid(cfg.get("sweep", {}))
+    axis, values = _sweep_grid(_options_section(cfg, "sweep", _SWEEP_KEYS))
     options = _construct_options(cfg)
 
     if axis == "b":
@@ -309,9 +309,11 @@ def cmd_verify(args):
     names = None
     if args.config:
         cfg = _load_config(args)
-        section = cfg.get("verify", {})
+        section = _options_section(cfg, "verify", _VERIFY_KEYS)
         seed = int(section.get("seed", 0))
         names = section.get("suites")
+        if names is not None and not isinstance(names, list):
+            raise ValidationError(f"verify suites must be a list of suite names, got {names!r}")
     if args.seed is not None:
         seed = args.seed
     results = verification.run_verification(seed=seed, names=names)

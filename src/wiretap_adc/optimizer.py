@@ -34,9 +34,12 @@ from .infotheory import (
     information_densities,
     secrecy_rate,
 )
-from .util import require_finite
+from .util import require_budget
 
 logger = logging.getLogger(__name__)
+
+# Points of kkt_check's symmetric audit grid
+KKT_GRID_POINTS = 2001
 
 MAX_SUPPORT = 64
 _MERGE_TOL = 1e-9
@@ -209,9 +212,7 @@ def optimize_wyner_rate(chan, power_budget, config=None):
     """
     config = config or OptimizeConfig()
     _require_real(chan, "optimize_wyner_rate")
-    j = require_finite("power_budget", power_budget)
-    if j <= 0.0:
-        raise ValidationError(f"power budget must be positive, got {j!r}")
+    j = require_budget(power_budget)
     n = config.support_size
     # starts scale with sqrt(J), but not past where every threshold of both
     # receivers is 8 noise deviations from w*x: cell slopes there are below
@@ -451,30 +452,26 @@ class KktReport:
         }
 
 
-def kkt_check(chan, input_dist, power_budget, grid_points=2001):
+def kkt_check(chan, input_dist, power_budget):
     """Check the first-order optimality of an input at a power budget.
 
     Estimates the multiplier (zero when the power constraint is inactive,
     else the better-certifying of a least-squares fit on the support and a
     feasibility-interval candidate), then reports the worst constraint
-    violation on a symmetric grid, the on-support stationarity residual, and
-    the complementary slackness residual.
+    violation on a symmetric grid of KKT_GRID_POINTS points, the on-support
+    stationarity residual, and the complementary slackness residual.
     """
     _require_real(chan, "kkt_check")
     if not input_dist.is_real:
         raise ValidationError("kkt_check needs a real input distribution")
-    j = require_finite("power_budget", power_budget)
-    if j <= 0.0:
-        raise ValidationError(f"power budget must be positive, got {j!r}")
-    if grid_points < 3:
-        raise ValidationError("grid_points must be >= 3")
+    j = require_budget(power_budget)
 
     probs = np.asarray(input_dist.probs)
     xs = input_dist.real_points()
     n = len(xs)
     mean_square = float(np.dot(probs, xs * xs))
     radius = 3.0 * max(float(np.max(np.abs(xs))), math.sqrt(j), 1.0)
-    grid = np.linspace(-radius, radius, grid_points)
+    grid = np.linspace(-radius, radius, KKT_GRID_POINTS)
 
     # one row stack per receiver: the support's rows, then the grid's
     rows = _receiver_rows(chan, np.concatenate([xs, grid]))
@@ -524,7 +521,7 @@ def kkt_check(chan, input_dist, power_budget, grid_points=2001):
         max_slack_violation=residuals[0],
         support_residual=residuals[1],
         slackness_residual=residuals[2],
-        grid_points=int(grid_points),
+        grid_points=KKT_GRID_POINTS,
         grid_radius=radius,
     )
 

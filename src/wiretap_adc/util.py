@@ -1,4 +1,4 @@
-"""Small shared helpers: finiteness checks and complex-number JSON coding."""
+"""Small shared helpers: finiteness and power-budget checks, complex-number JSON coding."""
 
 import math
 
@@ -9,6 +9,13 @@ def require_finite(name, value):
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return float(value)
+
+
+def require_budget(power_budget):
+    j = require_finite("power_budget", power_budget)
+    if j <= 0.0:
+        raise ValidationError(f"power budget must be positive, got {j!r}")
+    return j
 
 
 def complex_to_json(z):

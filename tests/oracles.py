@@ -3,8 +3,10 @@
 Everything here deliberately avoids the package's own numerics: tails come
 from mpmath, integrals from adaptive quadrature, and mutual information from
 a plain double loop over math.fsum.  Slow is fine; these run on small cases.
-The one exception is the two-point search, which needs millions of rates and
-so takes its tails from scipy's ndtr, through its own cell and rate code.
+The exceptions take their tails from scipy's ndtr: the two-point search,
+which needs millions of rates, through its own cell and rate code; and
+six_tail_cells and two_exp_cell_slopes, which keep the library's earlier
+per-cell formulas so that the edge-shared ones can be pinned to their bits.
 """
 
 import math
@@ -13,6 +15,8 @@ import mpmath as mp
 import numpy as np
 from scipy.optimize import minimize
 from scipy.special import ndtr
+
+from wiretap_adc.channel import UNDERFLOW_FLOOR
 
 mp.mp.dps = 40
 
@@ -109,6 +113,40 @@ def _real_rows(gain, thresholds, xs):
         np.diff(below, axis=1),
         np.where(d[:, :-1] >= 0.0, -np.diff(above, axis=1), 1.0 - below[:, :-1] - above[:, 1:]),
     )
+
+
+def _cell_bounds(spec):
+    """(lower, upper) edge arrays of spec's cells, including the infinite end cells."""
+    t = np.asarray(spec.thresholds, dtype=float)
+    return np.concatenate(([-np.inf], t)), np.concatenate((t, [np.inf]))
+
+
+def six_tail_cells(specs, means):
+    """Cells of the ADCs in specs side by side, both tails taken at both edges of every cell.
+
+    For cell (lo, hi), a = lo - mean and b = hi - mean: right tails when
+    a >= 0, left tails when b <= 0, else 1 minus both tails; then clipped to
+    [0, 1], with values below UNDERFLOW_FLOOR set to 0.
+    """
+    lo, hi = (np.concatenate(e) for e in zip(*(_cell_bounds(spec) for spec in specs)))
+    m = np.repeat(np.asarray(means, dtype=float), [spec.levels for spec in specs], axis=1)
+    a, b = lo[None, :] - m, hi[None, :] - m
+    out = np.where(
+        a >= 0.0,
+        ndtr(-a) - ndtr(-b),
+        np.where(b <= 0.0, ndtr(b) - ndtr(a), 1.0 - ndtr(a) - ndtr(-b)),
+    )
+    out = np.clip(out, 0.0, 1.0)
+    out[out < UNDERFLOW_FLOOR] = 0.0
+    return out
+
+
+def two_exp_cell_slopes(gain, spec, xs):
+    """gain * (pdf(lo - gain x) - pdf(hi - gain x)), one exp per cell edge pair."""
+    lo, hi = _cell_bounds(spec)
+    m = gain * np.asarray(xs, dtype=float)[:, None]
+    pdf_lo, pdf_hi = (np.exp(-0.5 * (edge - m) ** 2) for edge in (lo, hi))
+    return gain * (pdf_lo - pdf_hi) / math.sqrt(2.0 * math.pi)
 
 
 def _binary_mi(phi, a, b):

@@ -24,14 +24,6 @@ def test_one_bit_is_the_sign_quantizer():
     assert spec.outputs == (-1.0, 1.0)
 
 
-def test_cell_edges_include_infinite_end_cells():
-    spec = AdcSpec((-1.0, 1.0), (0.0, 1.0, 2.0))
-    lo, hi = spec.cell_edges()
-    assert lo[0] == float("-inf") and hi[-1] == float("inf")
-    assert list(lo[1:]) == [-1.0, 1.0]
-    assert list(hi[:-1]) == [-1.0, 1.0]
-
-
 def test_shift_thresholds_commutes_with_translation():
     spec = AdcSpec((-0.5, 1.25), (0.0, 1.0, 2.0))
     shifted = shift_thresholds(spec, 0.75)

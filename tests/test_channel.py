@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -134,6 +135,35 @@ def test_complex_means_use_the_scalar_gain_product():
     k = eave.real_part.levels
     want = (cells[:, :k, None] * cells[:, None, k:]).reshape(len(xs), -1)
     np.testing.assert_array_equal(transition_rows(chan, "eave", xs), want)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_edge_shared_tails_keep_the_per_cell_bits(seed, caplog):
+    # 2-64 levels, one ADC or two side by side, means out to +/-40 (and on
+    # thresholds): every cell and slope equals the per-cell formulas bit for bit
+    rng = np.random.default_rng(seed)
+    for n_specs in (1, 2):
+        specs = tuple(random_adc(rng, max_levels=64) for _ in range(n_specs))
+        means = rng.uniform(-40.0, 40.0, size=(int(rng.integers(1, 200)), n_specs))
+        means[0] = [spec.thresholds[0] for spec in specs]
+        with caplog.at_level(logging.DEBUG, logger=channel_mod.__name__):
+            cells = channel_mod._cells(specs, means)
+        assert np.array_equal(cells, oracles.six_tail_cells(specs, means))
+        assert cells.flags.c_contiguous
+    assert "clamped" in caplog.text
+    chan = make_channel(w2=float(rng.normal()), eave=ComplexAdcPair(specs[0], specs[1]))
+    xs = rng.uniform(-40.0, 40.0, size=100)
+    want = oracles.two_exp_cell_slopes(chan.w2.re, specs[0], xs)
+    assert np.array_equal(channel_mod._cell_slopes(chan, "eave", xs), want)
+
+
+@pytest.mark.parametrize("mode", ["real", "complex"])
+def test_transition_rows_are_c_contiguous(mode):
+    rng = np.random.default_rng(5)
+    chan = make_channel(mode=mode, eave=ComplexAdcPair(random_adc(rng), random_adc(rng)))
+    xs = rng.normal(size=16) * (1.0 if mode == "real" else 1.0 + 1.0j)
+    for receiver in ("legit", "eave"):
+        assert transition_rows(chan, receiver, xs).flags.c_contiguous
 
 
 @pytest.mark.parametrize(

@@ -173,11 +173,7 @@ class TestKktCheck:
     def test_report(self, tmp_path, capsys):
         dist = DiscreteInput((-2.0, 2.0), (0.5, 0.5))
         cfg = write_config(
-            tmp_path,
-            channel=worked_channel().to_json(),
-            input=dist.to_json(),
-            J=4.0,
-            kkt={"grid_points": 501},
+            tmp_path, channel=worked_channel().to_json(), input=dist.to_json(), J=4.0
         )
         assert main(["kkt-check", "--config", cfg, "--format", "csv"]) == 0
         header, rows = parse_csv(capsys.readouterr().out)
@@ -190,6 +186,23 @@ class TestKktCheck:
             "slackness_residual",
         ]
         assert float(rows[0][1]) == pytest.approx(4.0)
+        assert main(["kkt-check", "--config", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["grid_points"] == 2001
+
+    @pytest.mark.parametrize(
+        "section",
+        ['{"grid_points": 501}', '{"grid_points": 1e400}', '{"grid_points": 1e12}'],
+        ids=["small", "overflow", "huge"],
+    )
+    def test_grid_is_not_an_option(self, tmp_path, capsys, section):
+        # the grid is fixed; a section asking for another is rejected before
+        # any grid is allocated
+        dist = DiscreteInput((-2.0, 2.0), (0.5, 0.5))
+        body = {"channel": worked_channel().to_json(), "input": dist.to_json(), "J": 4.0}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(body)[:-1] + f', "kkt": {section}}}', encoding="utf-8")
+        assert main(["kkt-check", "--config", str(path)]) == 2
+        assert "unknown kkt options: ['grid_points']" in capsys.readouterr().err
 
     def test_needs_budget(self, tmp_path, capsys):
         dist = DiscreteInput((1.0,), (1.0,))
@@ -256,6 +269,50 @@ class TestSweep:
         cfg = write_config(tmp_path, channel=worked_channel().to_json(), sweep=sweep)
         assert main(["sweep", "--config", cfg]) == 2
         assert capsys.readouterr().out == ""
+
+
+class TestConfigSections:
+    def write(self, tmp_path, **sections):
+        dist = DiscreteInput((-2.0, 2.0), (0.5, 0.5))
+        return write_config(
+            tmp_path, channel=worked_channel().to_json(), input=dist.to_json(), J=4.0,
+            **sections,
+        )
+
+    @pytest.mark.parametrize(
+        "command, section, value",
+        [
+            ("achieve", "achieve", 5),
+            ("achieve", "achieve", [1]),
+            ("optimize", "optimize", "fast"),
+            ("sweep", "sweep", 7),
+            ("verify", "verify", 3),
+            ("kkt-check", "kkt", 5),
+        ],
+    )
+    def test_section_must_be_an_object(self, tmp_path, capsys, command, section, value):
+        cfg = self.write(tmp_path, **{section: value})
+        assert main([command, "--config", cfg]) == 2
+        assert f"config section '{section}' must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, section, value",
+        [
+            ("sweep", "sweep", {"axis": "b", "start": 1.0, "stop": 3.0, "num": 3, "step": 1}),
+            ("verify", "verify", {"seed": 0, "suite": ["closed_forms"]}),
+        ],
+    )
+    def test_unknown_keys_rejected(self, tmp_path, capsys, command, section, value):
+        cfg = self.write(tmp_path, **{section: value})
+        assert main([command, "--config", cfg]) == 2
+        assert f"unknown {section} options" in capsys.readouterr().err
+
+    def test_verify_suites_must_be_a_list(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, verify={"suites": "kkt"})
+        assert main(["verify", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "verify suites must be a list" in err
+        assert "'k'" not in err
 
 
 # sha256 of what `wiretap-adc verify --seed 0` prints
