@@ -18,7 +18,7 @@ from .util import require_finite
 MAX_LEVELS = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdcSpec:
     """One scalar quantizer: thresholds plus per-cell output labels."""
 
@@ -61,7 +61,7 @@ class AdcSpec:
         return cls(tuple(obj["thresholds"]), tuple(obj["outputs"]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComplexAdcPair:
     """Independent quantizers for the real and imaginary signal components."""
 

@@ -27,7 +27,7 @@ UNDERFLOW_FLOOR = 1e-300
 RECEIVERS = ("legit", "eave")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComplexGain:
     re: float
     im: float = 0.0
@@ -59,7 +59,7 @@ class ComplexGain:
         return cls(z.real, z.imag)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WiretapChannel:
     """Gains and ADC pairs for both receivers, in real or complex mode."""
 
@@ -137,17 +137,18 @@ def _cells(specs, means):
     """Probability of each cell for Gaussian(mean, 1) samples; stable in the tails.
 
     Row i holds the cells of every ADC in specs side by side, those of specs[j]
-    for mean means[i, j].  Both tails are evaluated once per edge, and cell
-    (lo, hi) takes the difference in the direction that avoids cancellation:
-    right tails when lo >= mean, left tails when hi <= mean, and 1 minus both
-    outer tails when the mean is inside the cell.
+    for mean means[i, j].  Each edge gets one tail, the one beyond the edge seen
+    from the mean: t = ndtr(-|edge - mean|).  Cell (lo, hi) is t_lo - t_hi when
+    lo >= mean, t_hi - t_lo when hi <= mean, else 1 - t_lo - t_hi, so no
+    difference cancels; each branch reads a tail only on the side where it is
+    ndtr(mean - edge) or ndtr(edge - mean) bit for bit (ndtr(-0.0) == 0.5).
     """
     edges, d = _edge_offsets(specs, means)
-    left, right = ndtr(d), ndtr(-d)
+    t = ndtr(-np.abs(d))
     out = np.where(
         d[:, :-1] >= 0.0,
-        right[:, :-1] - right[:, 1:],
-        np.where(d[:, 1:] <= 0.0, left[:, 1:] - left[:, :-1], 1.0 - left[:, :-1] - right[:, 1:]),
+        t[:, :-1] - t[:, 1:],
+        np.where(d[:, 1:] <= 0.0, t[:, 1:] - t[:, :-1], 1.0 - t[:, :-1] - t[:, 1:]),
     )
     # drop the (+inf, -inf) column between two ADCs; take keeps the rows C-ordered
     out = np.take(out, np.flatnonzero(edges[:-1] != np.inf), axis=1)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtr
 
 import oracles
 from helpers import random_adc
@@ -146,6 +147,11 @@ def test_edge_shared_tails_keep_the_per_cell_bits(seed, caplog):
         specs = tuple(random_adc(rng, max_levels=64) for _ in range(n_specs))
         means = rng.uniform(-40.0, 40.0, size=(int(rng.integers(1, 200)), n_specs))
         means[0] = [spec.thresholds[0] for spec in specs]
+        # a mean on every threshold runs both the lo == mean and hi == mean branches
+        on_edges = max(spec.levels - 1 for spec in specs)
+        means = np.vstack(
+            [means, [[s.thresholds[i % (s.levels - 1)] for s in specs] for i in range(on_edges)]]
+        )
         with caplog.at_level(logging.DEBUG, logger=channel_mod.__name__):
             cells = channel_mod._cells(specs, means)
         assert np.array_equal(cells, oracles.six_tail_cells(specs, means))
@@ -155,6 +161,29 @@ def test_edge_shared_tails_keep_the_per_cell_bits(seed, caplog):
     xs = rng.uniform(-40.0, 40.0, size=100)
     want = oracles.two_exp_cell_slopes(chan.w2.re, specs[0], xs)
     assert np.array_equal(channel_mod._cell_slopes(chan, "eave", xs), want)
+    # signed zeros: means +0.0 and -0.0 on thresholds 0.0 and -0.0
+    specs = (AdcSpec((-1.0, 0.0, 2.0), (0, 1, 2, 3)), AdcSpec((-0.0,), (0, 1)))
+    means = np.array([[0.0, 0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0]])
+    assert np.array_equal(channel_mod._cells(specs, means), oracles.six_tail_cells(specs, means))
+    # a kkt_check-sized call: 2,005 means on a 64-level ADC
+    specs = (random_adc(rng, min_levels=64, max_levels=64),)
+    means = rng.uniform(-40.0, 40.0, size=(2005, 1))
+    assert np.array_equal(channel_mod._cells(specs, means), oracles.six_tail_cells(specs, means))
+
+
+def test_cells_evaluate_one_tail_table_per_call(monkeypatch):
+    calls = []
+
+    def counting_ndtr(x, *args, **kwargs):
+        calls.append(np.shape(x))
+        return ndtr(x, *args, **kwargs)
+
+    monkeypatch.setattr(channel_mod, "ndtr", counting_ndtr)
+    rng = np.random.default_rng(3)
+    specs = (random_adc(rng, max_levels=64), random_adc(rng, max_levels=64))
+    means = rng.normal(size=(50, 2))
+    channel_mod._cells(specs, means)
+    assert calls == [(50, specs[0].levels + specs[1].levels + 2)]
 
 
 @pytest.mark.parametrize("mode", ["real", "complex"])
