@@ -16,7 +16,7 @@ from scipy.special import ndtr
 
 from .adc import ComplexAdcPair, is_symmetric_one_bit
 from .errors import ValidationError
-from .util import require_finite
+from .util import complex_from_json, require_finite
 
 logger = logging.getLogger(__name__)
 
@@ -53,8 +53,6 @@ class ComplexGain:
 
     @classmethod
     def from_json(cls, obj, name="gain"):
-        from .util import complex_from_json
-
         z = complex_from_json(obj, name)
         return cls(z.real, z.imag)
 
@@ -130,28 +128,28 @@ def _edge_offsets(specs, means):
     """Edges (-inf, thresholds, +inf) of the ADCs in specs side by side, and edge - mean."""
     edges = np.array([e for spec in specs for e in (-np.inf, *spec.thresholds, np.inf)])
     m = np.repeat(np.asarray(means, dtype=float), [spec.levels + 1 for spec in specs], axis=1)
-    return edges, edges - m
+    return edges, np.subtract(edges, m, out=m)
 
 
 def _cells(specs, means):
     """Probability of each cell for Gaussian(mean, 1) samples; stable in the tails.
 
     Row i holds the cells of every ADC in specs side by side, those of specs[j]
-    for mean means[i, j].  Each edge gets one tail, the one beyond the edge seen
-    from the mean: t = ndtr(-|edge - mean|).  Cell (lo, hi) is t_lo - t_hi when
-    lo >= mean, t_hi - t_lo when hi <= mean, else 1 - t_lo - t_hi, so no
-    difference cancels; each branch reads a tail only on the side where it is
-    ndtr(mean - edge) or ndtr(edge - mean) bit for bit (ndtr(-0.0) == 0.5).
+    for mean means[i, j].  With one tail per edge, t = ndtr(-|edge - mean|), cell
+    (lo, hi) is t_lo - t_hi, overwritten where hi <= mean (never also lo >= mean)
+    by t_hi - t_lo, formed afresh (a negation turns 0 into -0.0), and where
+    lo < mean < hi by 1 - t_lo - t_hi: no difference cancels, and each reads a tail
+    only where it is ndtr(mean - edge) or ndtr(edge - mean) bit for bit.
     """
-    edges, d = _edge_offsets(specs, means)
-    t = ndtr(-np.abs(d))
-    out = np.where(
-        d[:, :-1] >= 0.0,
-        t[:, :-1] - t[:, 1:],
-        np.where(d[:, 1:] <= 0.0, t[:, 1:] - t[:, :-1], 1.0 - t[:, :-1] - t[:, 1:]),
-    )
-    # drop the (+inf, -inf) column between two ADCs; take keeps the rows C-ordered
-    out = np.take(out, np.flatnonzero(edges[:-1] != np.inf), axis=1)
+    edges, offsets = _edge_offsets(specs, means)
+    t, d = ndtr(np.copysign(offsets, -1.0)).ravel(), offsets.ravel()  # flat: row ends add a gap
+    below = d <= 0.0
+    straddle = np.flatnonzero((d[:-1] < 0.0) & ~below[1:])
+    out = np.subtract(t[:-1], t[1:], out=d[:-1])  # the offsets are spent: d takes the cells
+    np.subtract(t[1:], t[:-1], out=out, where=below[1:])
+    out[straddle] = 1.0 - t[straddle] - t[straddle + 1]
+    # drop the gap cells (+inf, -inf); take keeps the rows C-ordered
+    out = np.take(d.reshape(offsets.shape), np.flatnonzero(edges[:-1] != np.inf), axis=1)
     np.clip(out, 0.0, 1.0, out=out)
     tiny = (out > 0.0) & (out < UNDERFLOW_FLOOR)
     if tiny.any():

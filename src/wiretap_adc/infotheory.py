@@ -97,13 +97,15 @@ def binary_entropy(p):
 
 
 def _entropy_terms(w, ref):
-    """Elementwise w*log2(w/ref), broadcast, with zero weight giving zero."""
-    w = np.asarray(w, dtype=float)
-    safe_w = np.where(w > 0.0, w, 1.0)
-    safe_ref = np.where(ref > 0.0, ref, 1.0)
-    # zero-weight cells may still divide tiny/tiny; they are masked below
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(w > 0.0, w * np.log2(safe_w / safe_ref), 0.0)
+    """Elementwise w*log2(w/ref), broadcast, with zero weight giving zero.
+
+    w / ref (ref's zeros read as 1) is exactly that quotient where w > 0; it is
+    set to 1 where w <= 0, so those terms are w * 0 and log2 never meets 0.
+    """
+    with np.errstate(over="ignore"):  # w / tiny ref may overflow to +inf
+        terms = np.divide(w, np.where(ref > 0.0, ref, 1.0))
+    np.copyto(terms, 1.0, where=w <= 0.0)
+    return np.multiply(w, np.log2(terms, out=terms), out=terms)
 
 
 def _mutual_information_arrays(laws, W):
@@ -118,8 +120,8 @@ def _mutual_information_arrays(laws, W):
     # stacked products give each (support, law) the same vector products, and
     # so the same bits, as a one-law call on that support alone
     py = laws[None, :, None, :] @ stack
-    terms = np.where(laws[None, :, :, None] > 0.0, _entropy_terms(stack, py), 0.0)
-    info = laws[None, :, None, :] @ terms.sum(axis=3)[..., None]
+    sums = np.where(laws > 0.0, _entropy_terms(stack, py).sum(axis=3), 0.0)  # 0 * inf is NaN
+    info = laws[None, :, None, :] @ sums[..., None]
     rates = np.where(info > 0.0, info, 0.0).reshape(len(info), -1).tolist()  # NaN, -0.0 -> 0.0
     return rates if W.ndim == 3 else rates[0]
 
@@ -172,7 +174,7 @@ def information_densities(rows, py):
     Works on one row or a stack of rows; a row with mass on an output that
     P_Y never produces gets +inf.
     """
-    unseen = np.any((rows > 0.0) & (py == 0.0), axis=-1)
+    unseen = (rows[..., py == 0.0] > 0.0).any(axis=-1)
     return np.where(unseen, math.inf, _entropy_terms(rows, py).sum(axis=-1))
 
 

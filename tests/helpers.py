@@ -87,6 +87,17 @@ def random_real_input(rng, mixed=None):
                          tuple(float(p) for p in probs))
 
 
+def random_complex_input(rng, min_points, max_points):
+    """min_points-max_points distinct complex points in [-2, 2]^2; atoms never below 0.2/n."""
+    n = int(rng.integers(min_points, max_points + 1))
+    while True:
+        pts = np.round(rng.uniform(-2.0, 2.0, n), 6) + 1j * np.round(rng.uniform(-2.0, 2.0, n), 6)
+        if len(set(pts.tolist())) == n:
+            break
+    probs = 0.8 * rng.dirichlet(np.ones(n)) + 0.2 / n
+    return DiscreteInput(tuple(pts.tolist()), tuple(float(p) for p in probs))
+
+
 def random_stochastic_matrix(rng, n, m):
     raw = rng.dirichlet(np.ones(m), size=n)
     return raw

@@ -7,6 +7,8 @@ The exceptions take their tails from scipy's ndtr: the two-point search,
 which needs millions of rates, through its own cell and rate code; and
 six_tail_cells and two_exp_cell_slopes, which keep the library's earlier
 per-cell formulas so that the edge-shared ones can be pinned to their bits.
+The masked_* kernel functions likewise keep the library's earlier
+whole-array np.where formulas, to pin the in-place kernel to their bits.
 """
 
 import math
@@ -147,6 +149,33 @@ def two_exp_cell_slopes(gain, spec, xs):
     m = gain * np.asarray(xs, dtype=float)[:, None]
     pdf_lo, pdf_hi = (np.exp(-0.5 * (edge - m) ** 2) for edge in (lo, hi))
     return gain * (pdf_lo - pdf_hi) / math.sqrt(2.0 * math.pi)
+
+
+def masked_entropy_terms(w, ref):
+    """w*log2(w/ref), broadcast: both zeros replaced by 1, then terms of w <= 0 masked to 0."""
+    w = np.asarray(w, dtype=float)
+    safe_w = np.where(w > 0.0, w, 1.0)
+    safe_ref = np.where(ref > 0.0, ref, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(w > 0.0, w * np.log2(safe_w / safe_ref), 0.0)
+
+
+def masked_mutual_information(laws, W):
+    """Rates of laws (B, n) for rows W (n, K) or (P, n, K), zero-law terms masked per cell."""
+    laws = np.asarray(laws, dtype=float)
+    W = np.asarray(W, dtype=float)
+    stack = (W if W.ndim == 3 else W[None])[:, None]
+    py = laws[None, :, None, :] @ stack
+    terms = np.where(laws[None, :, :, None] > 0.0, masked_entropy_terms(stack, py), 0.0)
+    info = laws[None, :, None, :] @ terms.sum(axis=3)[..., None]
+    rates = np.where(info > 0.0, info, 0.0).reshape(len(info), -1).tolist()
+    return rates if W.ndim == 3 else rates[0]
+
+
+def masked_information_densities(rows, py):
+    """Row sums of masked_entropy_terms, +inf for a row with mass where py is 0."""
+    unseen = np.any((rows > 0.0) & (py == 0.0), axis=-1)
+    return np.where(unseen, math.inf, masked_entropy_terms(rows, py).sum(axis=-1))
 
 
 def _binary_mi(phi, a, b):

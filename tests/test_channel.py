@@ -171,6 +171,17 @@ def test_edge_shared_tails_keep_the_per_cell_bits(seed, caplog):
     assert np.array_equal(channel_mod._cells(specs, means), oracles.six_tail_cells(specs, means))
 
 
+def test_cells_hold_no_negative_zeros():
+    # cells left of the mean are t_hi - t_lo formed afresh: negating t_lo - t_hi
+    # would keep the values but turn the far tails' zeros into -0.0
+    rng = np.random.default_rng(14)
+    specs = (random_adc(rng, max_levels=64), random_adc(rng, max_levels=64))
+    means = rng.uniform(-40.0, 40.0, size=(200, 2))
+    cells = channel_mod._cells(specs, means)
+    assert np.array_equal(cells, oracles.six_tail_cells(specs, means))
+    assert (cells == 0.0).any() and not np.signbit(cells).any()
+
+
 def test_cells_evaluate_one_tail_table_per_call(monkeypatch):
     calls = []
 
@@ -184,6 +195,14 @@ def test_cells_evaluate_one_tail_table_per_call(monkeypatch):
     means = rng.normal(size=(50, 2))
     channel_mod._cells(specs, means)
     assert calls == [(50, specs[0].levels + specs[1].levels + 2)]
+
+
+def test_cells_of_no_means_keep_the_row_shape():
+    rng = np.random.default_rng(6)
+    specs = (random_adc(rng), random_adc(rng))
+    assert channel_mod._cells(specs, np.zeros((0, 2))).shape == (0, sum(s.levels for s in specs))
+    chan = make_channel(eave=ComplexAdcPair(*specs))
+    assert transition_rows(chan, "eave", []).shape == (0, specs[0].levels)
 
 
 @pytest.mark.parametrize("mode", ["real", "complex"])

@@ -1,11 +1,19 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from helpers import random_real_input, random_stochastic_matrix
+from helpers import (
+    random_adc_pair,
+    random_complex_input,
+    random_gain,
+    random_real_input,
+    random_stochastic_matrix,
+)
 from wiretap_adc import (
     ComplexGain,
     DiscreteInput,
@@ -13,12 +21,17 @@ from wiretap_adc import (
     WiretapChannel,
     binary_entropy,
     folding_functions,
+    kkt_check,
     one_bit_pair,
     q_function,
     secrecy_rate,
     z_rate,
 )
-from wiretap_adc.infotheory import _mutual_information_arrays, information_densities
+from wiretap_adc.infotheory import (
+    _entropy_terms,
+    _mutual_information_arrays,
+    information_densities,
+)
 
 
 def kernel_mi(probs, rows):
@@ -99,6 +112,84 @@ def test_batched_kernel_matches_one_law_calls_bit_for_bit(n, k, batch, supports)
             for law, value in zip(laws, got):
                 assert value == _mutual_information_arrays(law[None, :], rows)[0]
                 assert value == _one_law_mi(law, rows)
+
+
+def _kernel_stack(rng, n, k, supports):
+    """Rows with zero cells; on columns `dead` only the last point has mass, and on
+    columns `faint` the others have 1e-300, or subnormal 1e-310, against its 0.25."""
+    stack = rng.dirichlet(np.ones(k), size=(supports, n))
+    stack[rng.random(stack.shape) < 0.2] = 0.0
+    stack[..., 0] += stack.sum(axis=-1) == 0.0
+    stack /= stack.sum(axis=-1, keepdims=True)
+    m = max(1, k // 16)
+    cols = rng.choice(k, size=3 * m, replace=False)
+    dead, faint = cols[:m], cols[m:]
+    stack[:, :-1, dead] = 0.0
+    stack[:, -1, dead] = 0.25
+    stack[:, :-1, faint] = rng.permutation(np.resize([1e-300, 1e-310], len(faint)))
+    stack[:, -1, faint] = 0.25
+    return stack
+
+
+@pytest.mark.parametrize(
+    "n,k,batch,supports",
+    [(2, 4, 9, 3), (4, 64, 9, 3), (16, 256, 5, 2), (64, 4096, 2, 1)],
+    ids=["2-4-9-3", "4-64-9-3", "16-256-5-2", "64-4096-2-1"],
+)
+def test_kernel_keeps_the_masked_formula_bits(n, k, batch, supports):
+    # the last point has zero mass in every other law: its row then puts mass
+    # where P_Y is 0 (dead) or subnormal (faint), and the latter's terms are
+    # +inf, which only the zero-law mask keeps out of the rate (0 * inf)
+    rng = np.random.default_rng([14, n, k])
+    stack = _kernel_stack(rng, n, k, supports)
+    laws = rng.dirichlet(np.ones(n), size=batch)
+    laws[rng.random(laws.shape) < 0.25] = 0.0
+    laws[::2, -1] = 0.0
+    laws[laws.sum(axis=1) == 0.0, 0] = 1.0
+    laws /= laws.sum(axis=1, keepdims=True)
+    py = laws[None, :, None, :] @ stack[:, None]
+    want_terms = oracles.masked_entropy_terms(stack[:, None], py)
+    assert np.isinf(want_terms).any() and (py == 0.0).any()
+    assert _same_bits(_entropy_terms(stack[:, None], py), want_terms)
+    for rows in (stack, *stack):
+        want = oracles.masked_mutual_information(laws, rows)
+        assert _mutual_information_arrays(laws, rows) == want
+    for rows in stack:
+        for law in laws:
+            py = law @ rows
+            for r in (rows, rows[-1]):
+                want = oracles.masked_information_densities(r, py)
+                assert _same_bits(information_densities(r, py), want)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _peak_over(nbytes, call):
+    """Peak traced allocation of a second call, as a multiple of nbytes."""
+    call()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return (tracemalloc.get_traced_memory()[1] - base) / nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_temporaries_stay_within_one_and_a_half_rows():
+    # a wide rate op's rows, and a kkt_check grid's densities: one array of
+    # terms at a time (the np.where formulas of oracles.masked_* hold about 3.1x)
+    rng = np.random.default_rng(14)
+    rows = random_stochastic_matrix(rng, 64, 4096)
+    rows[rng.random(rows.shape) < 0.2] = 0.0
+    law = rng.dirichlet(np.ones(64))
+    assert _peak_over(rows.nbytes, lambda: _mutual_information_arrays([law], rows)) <= 1.5
+    rows = random_stochastic_matrix(rng, 2005, 65)
+    py = rng.dirichlet(np.ones(5)) @ rows[:5]
+    assert _peak_over(rows.nbytes, lambda: information_densities(rows, py)) <= 1.5
 
 
 def test_secrecy_rate_report_fields():
@@ -217,3 +308,33 @@ def test_mutual_information_bounds(seed):
     rows = random_stochastic_matrix(rng, n, m)
     mi = kernel_mi(rng.dirichlet(np.ones(n)), rows)
     assert 0.0 <= mi <= math.log2(min(n, m)) + 1e-12
+
+
+# sha256 over the repr of secrecy_rate on 40 complex channels with 16-64
+# points and of kkt_check on 20 real channels, both with 8-64-level ADCs:
+# kernel-sized calls (up to 64 x 4096 rows, 2,005-mean cell tables), which the
+# C1 digests, all on two-point supports of 2-8-level ADCs, do not reach.  A
+# kernel speedup must keep every bit of them.
+WIDE_RESULTS_SHA256 = "7dd4bb7a22567f0134cca490c68ab76be72be2f3c5d578ce40213358e6aea636"
+
+
+def test_wide_results_are_byte_identical_to_frozen_digest():
+    levels = {"min_levels": 8, "max_levels": 64}
+    reprs = []
+    for case in range(60):
+        rng = np.random.default_rng([14, case])
+        mode = "complex" if case < 40 else "real"
+        chan = WiretapChannel(
+            w1=random_gain(rng, float(rng.uniform(0.1, 4.0)), mode),
+            w2=random_gain(rng, float(rng.uniform(0.1, 4.0)), mode),
+            legit_adc=random_adc_pair(rng, **levels),
+            eave_adc=random_adc_pair(rng, **levels),
+            mode=mode,
+        )
+        if mode == "complex":
+            reprs.append(repr(secrecy_rate(chan, random_complex_input(rng, 16, 64))))
+        else:
+            dist = random_real_input(rng)
+            reprs.append(repr(kkt_check(chan, dist, float(rng.uniform(0.5, 4.0)))))
+    digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+    assert digest == WIDE_RESULTS_SHA256
