@@ -23,11 +23,12 @@ the smallest-(amplitude, phi) candidate above the floor in the first step
 that has one; mode "best" runs whole stages and returns the best candidate
 once a stage ends with it above the floor.
 
-Rows once per point; ray schedules scored in batches.  Each point's rows at
-both receivers are built once per construction and serve all its pairs and
-crossover and saturation lookups.  Extended-stage rays score the phi grids of
-many pairs per kernel call; the other stages score one pair at a time, riding
-and split pairs only at the phis their steps read.
+Rows once per point; pairs scored in batches.  Each point's rows at both
+receivers are built once per construction, in one _cells call with the other
+points new to that build, and serve all its pairs and crossover and
+saturation lookups.  Extended-stage rays score the phi grids of many pairs per
+kernel call, and riding and split pairs are scored in growing chunks, only at
+the phis their steps read; the canonical schedule scores one pair at a time.
 """
 
 import cmath
@@ -43,7 +44,6 @@ from .infotheory import (
     RateReport,
     _rate_arrays,  # unused here; bench/layers.py patches this binding by name
     _rates_from_rows,
-    _receiver_rows,
     binary_entropy,
     secrecy_rate,
     z_rate,
@@ -65,8 +65,9 @@ _MAX_DOUBLINGS = 40
 _REFINE_DELTAS = tuple(2.0 ** (-k) for k in range(-1, 13))
 
 # Extended-stage rays build and score up to _CHUNK_NEARS near amplitudes ahead,
-# _BATCH_PAIRS pairs per kernel call; more costs more in temporaries and in work
-# that a "first"-mode hit leaves unused.
+# riding and split pairs up to _BATCH_PAIRS pairs, and _BATCH_PAIRS pairs go in
+# one kernel call; more costs more in temporaries and in work that a
+# "first"-mode hit leaves unused.
 _CHUNK_NEARS, _BATCH_PAIRS = 8, 16
 
 
@@ -287,8 +288,8 @@ def zchannel_limit(phi, p1, p2):
 class _Sweep:
     """Step evaluator tracking the running best and optional trace.
 
-    Rows once per point; ray schedules scored in batches.  It keeps both
-    receivers' rows of every point and the limit cells of every direction the
+    Rows once per point; pairs scored in batches.  It keeps both receivers'
+    rows of every point and the limit cells of every direction the
     construction meets, and the rates of the pairs scored last.
     """
 
@@ -301,10 +302,11 @@ class _Sweep:
         self._rows, self._cells, self._rates = {}, {}, {}  # by point, direction, pair
 
     def build(self, points):
-        """Rows of the points not met yet: one transition_rows call per receiver."""
+        """Rows of the points not met yet at both receivers, from one _cells call."""
         new = list(dict.fromkeys(p for p in points if p not in self._rows))
         if new:
-            self._rows.update(zip(new, zip(*_receiver_rows(self.chan, new))))
+            rows = channel_mod._rows(self.chan, channel_mod.RECEIVERS, new)
+            self._rows.update(zip(new, zip(*rows)))
 
     def limit_mass(self, direction, point):
         """(legit, eave) mass of the point's rows in the limit cells: a near point's (p1, p2)."""
@@ -572,13 +574,18 @@ def _pair_steps(sweep, pairs, phis):
 
     pairs yields (near, far, limit direction, sort amplitude, meta); the near
     point's mass in the limit direction's cells gives the step's p1 and p2.
+    Pairs are built and scored ahead in chunks of 1, 2, 4, ... up to _BATCH_PAIRS:
+    one build and one kernel call per receiver for each chunk.
     """
-    for near, far, limit_dir, amp, meta in pairs:
-        sweep.score([(near, far)], phis)
-        p1, p2 = sweep.limit_mass(limit_dir, near)
-        meta = {**meta, "p1": p1, "p2": p2}
-        for phi in phis:
-            yield [(near, far, phi, (amp, phi), meta)]
+    pairs, size = iter(pairs), 1
+    while chunk := list(islice(pairs, size)):
+        size = min(2 * size, _BATCH_PAIRS)
+        sweep.score([(near, far) for near, far, *_ in chunk], phis)
+        for near, far, limit_dir, amp, meta in chunk:
+            p1, p2 = sweep.limit_mass(limit_dir, near)
+            meta = {**meta, "p1": p1, "p2": p2}
+            for phi in phis:
+                yield [(near, far, phi, (amp, phi), meta)]
 
 
 def _riding_pairs(chan, lines):

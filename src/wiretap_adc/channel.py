@@ -175,23 +175,42 @@ def transition_rows(channel, receiver, xs):
     """Output distributions for many inputs, one row per input.
 
     Real-mode rows have one entry per cell of the real quantizer.  Complex-mode
-    rows are the outer product of the two component rows (one _cells call),
-    flattened row-major: output (real cell) * k_I + (imag cell), where k_I is
-    the imaginary quantizer's level count.
+    rows are the outer product of the two component rows, flattened row-major:
+    output (real cell) * k_I + (imag cell), where k_I is the imaginary
+    quantizer's level count.
+    """
+    return _rows(channel, (receiver,), xs)[0]
+
+
+def _rows(channel, receivers, xs):
+    """transition_rows of xs at each receiver, from one _cells call over all their ADCs.
+
+    Each receiver's rows are a C-contiguous array of their own: the rate
+    kernel's products over strided rows need not keep the same bits.
     """
     xs = np.asarray(xs, dtype=complex)
     finite = np.isfinite(xs)
     if not finite.all():
         raise ValidationError(f"input must be finite, got {complex(xs[~finite][0])!r}")
-    pair = channel.adc_for(receiver)
-    w = channel.gain_for(receiver)
+    pairs = [channel.adc_for(receiver) for receiver in receivers]
+    gains = [channel.gain_for(receiver) for receiver in receivers]
     if channel.mode == "real":
         if xs.imag.any():
             x = complex(xs[xs.imag != 0.0][0])
             raise ValidationError(f"real-mode input must be real, got {x}")
-        return _cells((pair.real_part,), w.re * xs.real[:, None])
-    # a Python complex multiply per mean: numpy's complex product can differ in the last bit
-    wx = np.array([w.value * x for x in xs.tolist()])
-    cells = _cells((pair.real_part, pair.imag_part), np.stack((wx.real, wx.imag), axis=1))
-    k = pair.real_part.levels
-    return np.einsum("xr,xi->xri", cells[:, :k], cells[:, k:]).reshape(len(xs), -1)
+        specs = [pair.real_part for pair in pairs]
+        means = np.multiply.outer(xs.real, [w.re for w in gains])
+    else:
+        specs = [spec for pair in pairs for spec in (pair.real_part, pair.imag_part)]
+        # a Python complex multiply per mean: numpy's complex product can differ in the last bit
+        wx = np.array([w.value * x for x in xs.tolist() for w in gains], dtype=complex)
+        means = wx.view(float).reshape(len(xs), len(specs))  # (re, im) of each receiver
+    cells = _cells(specs, means)
+    ends = np.cumsum([spec.levels for spec in specs]).tolist()
+    blocks = [cells[:, end - spec.levels : end] for spec, end in zip(specs, ends)]
+    if channel.mode == "real":
+        return [np.ascontiguousarray(block) for block in blocks]
+    return [
+        np.einsum("xr,xi->xri", re, im).reshape(len(xs), re.shape[1] * im.shape[1])
+        for re, im in zip(blocks[::2], blocks[1::2])
+    ]

@@ -128,6 +128,7 @@ def _mutual_information_arrays(laws, W):
 
 def _receiver_rows(chan, points):
     """(legit rows, eave rows): one transition row per point at each receiver."""
+    # not channel._rows: the bench's L1.rows span hooks transition_rows, reached from here
     return tuple(channel_mod.transition_rows(chan, r, points) for r in channel_mod.RECEIVERS)
 
 

@@ -12,6 +12,7 @@ the floor and the canonical construction's Z-channel limit rate, computed at
 import hashlib
 import math
 import time
+import tracemalloc
 from math import fsum
 
 import mpmath as mp
@@ -168,6 +169,30 @@ def test_c01_results_are_byte_identical_to_frozen_digests(construction_runs):
         except SweepExhaustedError as exc:
             reprs.append(repr(exc.diagnostics))
     assert _results_sha256(reprs) == C1_BEST_TRACED_SHA256
+
+
+# A construction keeps every point's rows and scores pairs in chunks; this
+# caps the temporaries those chunks may hold (the worst config reads ~480 KB)
+C1_OP_PEAK_BYTES = 1 << 20
+
+
+def test_c01_per_op_memory_peak_stays_bounded():
+    peaks = []
+    tracemalloc.start()
+    try:
+        for case in range(200):
+            chan = criterion1_channel(rng_for(1, case), "real" if case % 2 else "complex")
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            try:
+                achieve(chan)
+            except SweepExhaustedError:
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    worst = max(range(200), key=peaks.__getitem__)
+    assert peaks[worst] <= C1_OP_PEAK_BYTES, (worst, peaks[worst])
 
 
 def _random_complex_input(rng):

@@ -197,25 +197,24 @@ class TestConstruct:
     def test_rows_built_once_per_point(self, monkeypatch):
         # C1 config 0: the canonical near amplitude is also the schedule's
         # first far amplitude, so step 1 is (near, near) and evaluates
-        # nothing; step 2 evaluates 9 phis on (near, 2 near).  One
-        # transition_rows call per receiver and new point gives 4 calls: the
-        # near point's rows serve the crossovers and the saturation check of
-        # step 1.  Each of those builds takes one _cells call for both
-        # quantizer components, and the 9 phis take one batched kernel call
-        # per receiver.
+        # nothing; step 2 evaluates 9 phis on (near, 2 near).  One row build
+        # for both receivers per new point gives 2 builds: the near point's
+        # rows serve the crossovers and the saturation check of step 1.  Each
+        # build takes one _cells call for every quantizer component of both
+        # receivers, and the 9 phis take one batched kernel call per receiver.
         calls = []
         self.count_calls(
             monkeypatch, calls,
-            (channel_mod, "transition_rows"),
+            (channel_mod, "_rows"),
             (channel_mod, "_cells"),
             (infotheory_mod, "_mutual_information_arrays"),
         )
         chan = criterion1_channel(np.random.default_rng([1, 1, 0]), "complex")
         res = construct_positive_rate(chan, ConstructOptions(keep_trace=True))
         assert len(res.trace) == 9
-        rows = [args[1] for name, args in calls if name == "transition_rows"]
-        assert rows == ["legit", "eave"] * 2
-        assert sum(name == "_cells" for name, _ in calls) == 4
+        builds = [args[1:] for name, args in calls if name == "_rows"]
+        assert [(receivers, len(xs)) for receivers, xs in builds] == [(("legit", "eave"), 1)] * 2
+        assert sum(name == "_cells" for name, _ in calls) == 2
         assert sum(name == "_mutual_information_arrays" for name, _ in calls) == 2
 
     @pytest.mark.parametrize("case, mode", [(7, "real"), (28, "complex")])
@@ -225,7 +224,7 @@ class TestConstruct:
         calls, pairs = [], set()
         self.count_calls(
             monkeypatch, calls,
-            (channel_mod, "transition_rows"),
+            (channel_mod, "_rows"),
             (infotheory_mod, "_mutual_information_arrays"),
         )
         consider = achievability_mod._Sweep.consider
@@ -241,20 +240,19 @@ class TestConstruct:
             construct_positive_rate(chan)
         except SweepExhaustedError:
             assert case == 7
-        built = {
-            receiver: [x for name, args in calls if name == "transition_rows"
-                       and args[1] == receiver for x in args[2]]
-            for receiver in ("legit", "eave")
-        }
-        assert built["legit"] == built["eave"]
-        assert len(built["legit"]) == len(set(built["legit"]))
+        builds = [args[1:] for name, args in calls if name == "_rows"]
+        assert builds and pairs
+        assert {receivers for receivers, _ in builds} == {("legit", "eave")}
+        built = [x for _, xs in builds for x in xs]
+        assert len(built) == len(set(built))
         kernel_calls = sum(name == "_mutual_information_arrays" for name, _ in calls)
         assert kernel_calls < len(pairs)
 
     def test_riding_pairs_are_scored_only_at_the_phis_read(self, monkeypatch):
         # C1-family seed [5, 5, 57]: a riding pair misses at phi 0.5 and
-        # clears the floor at 0.3.  Each riding pair is scored once, in one
-        # kernel call per receiver carrying only the 3 phis its steps read.
+        # clears the floor at 0.3.  Each riding pair is scored once, in
+        # chunks that share one kernel call per receiver carrying only the 3
+        # phis the steps read.
         calls, riding = [], set()
         self.count_calls(monkeypatch, calls, (infotheory_mod, "_mutual_information_arrays"))
         sweep_cls = achievability_mod._Sweep
@@ -275,14 +273,18 @@ class TestConstruct:
         chan = criterion1_channel(np.random.default_rng([5, 5, 57]), "real")
         res = construct_positive_rate(chan)
         assert (res.regime, res.phi) == ("searched", 0.3)
-        laws = {}
+        scored, laws = [], []  # riding pairs per score call; laws per kernel call of those calls
         for name, args in calls:
             if name == "score":
-                scored = tuple(args)
-            elif set(scored) <= riding:
-                laws.setdefault(scored, []).append(len(args[0]))
-        assert set(laws) == {(pair,) for pair in riding}
-        assert {tuple(counts) for counts in laws.values()} == {(3, 3)}
+                carries = not riding.isdisjoint(args)
+                if carries:
+                    scored.append(args)
+            elif carries:
+                laws.append(len(args[0]))
+        assert riding and max(len(chunk) for chunk in scored) > 1
+        flat = [pair for chunk in scored for pair in chunk]
+        assert len(flat) == len(set(flat)) and riding <= set(flat)
+        assert laws == [3, 3] * len(scored)
 
     def test_rate_positive_across_random_channels(self):
         rng = np.random.default_rng(21)

@@ -203,6 +203,39 @@ def test_cells_of_no_means_keep_the_row_shape():
     assert channel_mod._cells(specs, np.zeros((0, 2))).shape == (0, sum(s.levels for s in specs))
     chan = make_channel(eave=ComplexAdcPair(*specs))
     assert transition_rows(chan, "eave", []).shape == (0, specs[0].levels)
+    chan = make_channel(mode="complex", w2=(1.0, 0.5), eave=ComplexAdcPair(*specs))
+    assert transition_rows(chan, "eave", []).shape == (0, specs[0].levels * specs[1].levels)
+
+
+@pytest.mark.parametrize("mode", ["real", "complex"])
+@pytest.mark.parametrize("wide", [None, "legit", "eave"])
+def test_both_receivers_rows_keep_the_per_receiver_bits(mode, wide):
+    # one _cells call for both receivers' ADCs side by side: each receiver's
+    # rows are its own transition_rows bit for bit, and C-contiguous
+    rng = np.random.default_rng([17, mode == "complex", (None, "legit", "eave").index(wide)])
+
+    def adc():
+        return ComplexAdcPair(random_adc(rng, min_levels=8, max_levels=64),
+                              random_adc(rng, min_levels=8, max_levels=64))
+
+    def gain():
+        return tuple(rng.normal(size=2)) if mode == "complex" else float(rng.normal())
+
+    chan = make_channel(
+        mode=mode, w1=gain(), w2=gain(),
+        legit=adc() if wide == "legit" else None, eave=adc() if wide == "eave" else None,
+    )
+    for n in (0, 1, 40):
+        xs = rng.uniform(-4.0, 4.0, size=n)
+        if mode == "complex":
+            xs = xs + 1j * rng.uniform(-4.0, 4.0, size=n)
+        rows = channel_mod._rows(chan, channel_mod.RECEIVERS, xs)
+        assert len(rows) == len(channel_mod.RECEIVERS)
+        for receiver, got in zip(channel_mod.RECEIVERS, rows):
+            want = transition_rows(chan, receiver, xs)
+            assert got.shape == want.shape == (n, want.shape[1])
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous and want.flags.c_contiguous
 
 
 @pytest.mark.parametrize("mode", ["real", "complex"])
