@@ -24,17 +24,19 @@ that has one; mode "best" runs whole stages and returns the best candidate
 once a stage ends with it above the floor.
 
 Rows once per point; pairs scored in batches.  Each point's rows at both
-receivers are built once per construction, in one _cells call with the other
-points new to that build, and serve all its pairs and crossover and
-saturation lookups.  Extended-stage rays score the phi grids of many pairs per
-kernel call, and riding and split pairs are scored in growing chunks, only at
-the phis their steps read; the canonical schedule scores one pair at a time.
+receivers are built once and serve all its pairs and limit-cell lookups; a
+ray's near points and far schedules, predicted to where both limit cells read
+1.0, share one _cells call per near chunk.  Extended-stage rays score many
+pairs' phi grids per kernel call, riding and split pairs go in growing chunks
+at the phis their steps read, and the canonical schedule one pair at a time.
 """
 
 import cmath
 import math
 from dataclasses import dataclass, replace
 from itertools import islice
+
+from scipy.special import ndtri
 
 from . import channel as channel_mod
 from .adc import ComplexAdcPair, is_symmetric_one_bit, one_bit_pair, shift_thresholds
@@ -59,15 +61,17 @@ RATE_FLOOR = 1e-9
 PHI_GRID = (0.5, 0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9)
 # far schedules and split pairs end at 2^_MAX_DOUBLINGS times their first amplitude
 _MAX_DOUBLINGS = 40
+# a limit cell this far past its threshold reads 1.0: its tail ndtr(-offset) <= 2^-54
+_SATURATION_OFFSET = -float(ndtri(2.0**-54))
 
 # Extended-stage refinements of the near amplitude toward the feasibility
 # bound, as fractions of the canonical safety margin.
 _REFINE_DELTAS = tuple(2.0 ** (-k) for k in range(-1, 13))
 
-# Extended-stage rays build and score up to _CHUNK_NEARS near amplitudes ahead,
-# riding and split pairs up to _BATCH_PAIRS pairs, and _BATCH_PAIRS pairs go in
-# one kernel call; more costs more in temporaries and in work that a
-# "first"-mode hit leaves unused.
+# Extended-stage rays build (one _rows call) and score the predicted schedules of
+# up to _CHUNK_NEARS near amplitudes ahead, riding and split pairs up to
+# _BATCH_PAIRS pairs, and _BATCH_PAIRS pairs go in one kernel call; more costs
+# more in temporaries and in work that a "first"-mode hit leaves unused.
 _CHUNK_NEARS, _BATCH_PAIRS = 8, 16
 
 
@@ -379,6 +383,23 @@ def _far_points(sweep, near_amp, direction):
             return
 
 
+def _predicted_far_points(chan, near_amps, direction):
+    """Each near amplitude's _far_points up to its predicted saturation: rows to build.
+
+    Saturated: every limit-cell axis of both receivers clears _SATURATION_OFFSET.
+    """
+    axes = [axis for r in channel_mod.RECEIVERS for axis in _ray_axes(chan, r, direction)]
+    if any(drift == 0.0 for drift, _ in axes):
+        return []  # no limit cell: _far_points raises
+    saturated = max((_SATURATION_OFFSET + (s.thresholds[-1] if d > 0.0 else -s.thresholds[0]))
+                    / abs(d) for d, s in axes)
+    fars = []
+    for base in (max(abs(amp), 1.0) for amp in near_amps):
+        k = next((k for k in range(_MAX_DOUBLINGS) if base * 2.0**k >= saturated), _MAX_DOUBLINGS)
+        fars.extend(complex(base * 2.0**j * direction) for j in range(k + 1))
+    return fars
+
+
 def _ray_threshold_riders(chan, direction):
     """Amplitudes whose eavesdropper mean sits exactly on a threshold."""
     return [
@@ -495,9 +516,10 @@ def _result(chan, alignment, candidate, trace):
 def _ray_steps(sweep, near_amp, direction, line_angle, ray, regime):
     """One step per far amplitude of the schedule: the whole phi grid there.
 
-    Lazy: each step builds only its own points; the near point's rows give the crossovers.
+    Built in one go with the predicted far points; the near point's rows give the crossovers.
     """
     near = complex(near_amp * direction)
+    sweep.build([near] + _predicted_far_points(sweep.chan, [near_amp], direction))
     meta = None
     for far_amp, far in _far_points(sweep, near_amp, direction):
         sweep.score([(near, far)], PHI_GRID)
@@ -510,24 +532,17 @@ def _ray_steps(sweep, near_amp, direction, line_angle, ray, regime):
 def _batched_ray_steps(sweep, near_amps, direction, line_angle, ray):
     """The "searched" _ray_steps of each near amplitude in turn, built and scored ahead.
 
-    The near amplitudes go in chunks of 1, 2, 4, then _CHUNK_NEARS.  A chunk's
-    far schedules grow in rounds, with one build for each round's new points,
-    and all the chunk's pairs are scored before its first step.
+    The near amplitudes go in chunks of 1, 2, 4, then _CHUNK_NEARS.  One build
+    covers a chunk's near points and their predicted far points, and all the
+    chunk's pairs are scored before its first step.
     """
     start, size = 0, 1
     while start < len(near_amps):
         chunk = near_amps[start : start + size]
         start, size = start + size, min(2 * size, _CHUNK_NEARS)
         nears = [complex(amp * direction) for amp in chunk]
-        schedules = [[] for _ in chunk]
-        growing = [(_far_points(sweep, a, direction), fars) for a, fars in zip(chunk, schedules)]
-        new, k = nears, 0
-        while growing:
-            for far_points, fars in growing:
-                fars.extend(islice(far_points, 1))  # after checking the last far point
-            growing = [(far_points, fars) for far_points, fars in growing if len(fars) > k]
-            sweep.build(new + [fars[k][1] for _, fars in growing])
-            new, k = [], k + 1
+        sweep.build(nears + _predicted_far_points(sweep.chan, chunk, direction))
+        schedules = [list(_far_points(sweep, a, direction)) for a in chunk]
         pairs = [(near, far) for near, fars in zip(nears, schedules) for _, far in fars]
         sweep.score(pairs, PHI_GRID)
         for near, fars in zip(nears, schedules):

@@ -138,8 +138,8 @@ def _cells(specs, means):
     for mean means[i, j].  With one tail per edge, t = ndtr(-|edge - mean|), cell
     (lo, hi) is t_lo - t_hi, overwritten where hi <= mean (never also lo >= mean)
     by t_hi - t_lo, formed afresh (a negation turns 0 into -0.0), and where
-    lo < mean < hi by 1 - t_lo - t_hi: no difference cancels, and each reads a tail
-    only where it is ndtr(mean - edge) or ndtr(edge - mean) bit for bit.
+    lo < mean < hi by 1 - t_lo - t_hi: no difference cancels, no cell exceeds 1, and
+    each reads a tail only where it is ndtr(mean - edge) or ndtr(edge - mean) bit for bit.
     """
     edges, offsets = _edge_offsets(specs, means)
     t, d = ndtr(np.copysign(offsets, -1.0)).ravel(), offsets.ravel()  # flat: row ends add a gap
@@ -150,11 +150,11 @@ def _cells(specs, means):
     out[straddle] = 1.0 - t[straddle] - t[straddle + 1]
     # drop the gap cells (+inf, -inf); take keeps the rows C-ordered
     out = np.take(d.reshape(offsets.shape), np.flatnonzero(edges[:-1] != np.inf), axis=1)
-    np.clip(out, 0.0, 1.0, out=out)
-    tiny = (out > 0.0) & (out < UNDERFLOW_FLOOR)
-    if tiny.any():
-        logger.debug("clamped %d cell probabilities below %g to 0", int(tiny.sum()), UNDERFLOW_FLOOR)
-        out[tiny] = 0.0
+    if logger.isEnabledFor(logging.DEBUG):
+        tiny = np.count_nonzero((out > 0.0) & (out < UNDERFLOW_FLOOR))
+        if tiny:
+            logger.debug("clamped %d cell probabilities below %g to 0", tiny, UNDERFLOW_FLOOR)
+    np.copyto(out, 0.0, where=out < UNDERFLOW_FLOOR)
     return out
 
 

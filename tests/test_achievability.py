@@ -197,11 +197,13 @@ class TestConstruct:
     def test_rows_built_once_per_point(self, monkeypatch):
         # C1 config 0: the canonical near amplitude is also the schedule's
         # first far amplitude, so step 1 is (near, near) and evaluates
-        # nothing; step 2 evaluates 9 phis on (near, 2 near).  One row build
-        # for both receivers per new point gives 2 builds: the near point's
-        # rows serve the crossovers and the saturation check of step 1.  Each
-        # build takes one _cells call for every quantizer component of both
-        # receivers, and the 9 phis take one batched kernel call per receiver.
+        # nothing; step 2 evaluates 9 phis on (near, 2 near), where both
+        # receivers saturate.  The ray's one row build for both receivers
+        # holds the near point and the predicted far point 2 near: the near
+        # point's rows serve the crossovers and the saturation check of step
+        # 1.  The build takes one _cells call for every quantizer component of
+        # both receivers, and the 9 phis take one batched kernel call per
+        # receiver.
         calls = []
         self.count_calls(
             monkeypatch, calls,
@@ -213,8 +215,8 @@ class TestConstruct:
         res = construct_positive_rate(chan, ConstructOptions(keep_trace=True))
         assert len(res.trace) == 9
         builds = [args[1:] for name, args in calls if name == "_rows"]
-        assert [(receivers, len(xs)) for receivers, xs in builds] == [(("legit", "eave"), 1)] * 2
-        assert sum(name == "_cells" for name, _ in calls) == 2
+        assert [(receivers, len(xs)) for receivers, xs in builds] == [(("legit", "eave"), 2)]
+        assert sum(name == "_cells" for name, _ in calls) == 1
         assert sum(name == "_mutual_information_arrays" for name, _ in calls) == 2
 
     @pytest.mark.parametrize("case, mode", [(7, "real"), (28, "complex")])
@@ -285,6 +287,50 @@ class TestConstruct:
         flat = [pair for chunk in scored for pair in chunk]
         assert len(flat) == len(set(flat)) and riding <= set(flat)
         assert laws == [3, 3] * len(scored)
+
+    @staticmethod
+    def c1_reprs(configs, options):
+        reprs = []
+        for case in configs:
+            chan = criterion1_channel(np.random.default_rng([1, 1, case]),
+                                      "real" if case % 2 else "complex")
+            try:
+                reprs.append(repr(achieve(chan, options)))
+            except SweepExhaustedError as exc:
+                reprs.append(repr(exc.diagnostics))
+        return reprs
+
+    def test_predicted_far_points_are_only_a_hint(self, monkeypatch):
+        # without the prediction every far point is built when its schedule
+        # asks for it; the results, traces and diagnostics keep every bit
+        runs = [(range(40), ConstructOptions()),
+                (range(20), ConstructOptions(mode="best", keep_trace=True))]
+        want = [self.c1_reprs(configs, options) for configs, options in runs]
+        monkeypatch.setattr(achievability_mod, "_predicted_far_points", lambda *args: [])
+        assert [self.c1_reprs(configs, options) for configs, options in runs] == want
+
+    def test_predicted_far_points_cover_every_schedule(self, monkeypatch):
+        # C1 configs 0-199: no schedule reaches a far point the prediction
+        # left unbuilt, so limit_mass never builds rows; 586 _rows calls with
+        # the prediction, 1,202 with the round-by-round builds it replaced
+        calls = {"rows": 0, "lazy": 0}
+        rows, limit_mass = channel_mod._rows, achievability_mod._Sweep.limit_mass
+
+        def counted(*args):
+            calls["rows"] += 1
+            return rows(*args)
+
+        def watched(sweep, *args):
+            before = calls["rows"]
+            mass = limit_mass(sweep, *args)
+            calls["lazy"] += calls["rows"] - before
+            return mass
+
+        monkeypatch.setattr(channel_mod, "_rows", counted)
+        monkeypatch.setattr(achievability_mod._Sweep, "limit_mass", watched)
+        self.c1_reprs(range(200), ConstructOptions())
+        assert calls["lazy"] == 0
+        assert calls["rows"] <= 586
 
     def test_rate_positive_across_random_channels(self):
         rng = np.random.default_rng(21)
