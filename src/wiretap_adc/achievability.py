@@ -23,18 +23,17 @@ the smallest-(amplitude, phi) candidate above the floor in the first step
 that has one; mode "best" runs whole stages and returns the best candidate
 once a stage ends with it above the floor.
 
-Rows once per point; pairs scored in batches.  Each point's rows at both
-receivers are built once and serve all its pairs and limit-cell lookups; a
-ray's near points and far schedules, predicted to where both limit cells read
-1.0, share one _cells call per near chunk.  Extended-stage rays score many
-pairs' phi grids per kernel call, riding and split pairs go in growing chunks
-at the phis their steps read, and the canonical schedule one pair at a time.
+Rows once per point; pairs scored in chunks.  Every stage is a stream of
+pairs, each with the phis its steps read.  Each chunk of pairs is built (both
+receivers' rows of its new points, one _cells call) and scored (one kernel
+call per receiver, at the phis of all its steps) before its first step.  Far
+schedules stop where both limit cells read 1.0, worked out from the thresholds.
 """
 
 import cmath
 import math
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import chain, islice
 
 from scipy.special import ndtri
 
@@ -68,11 +67,10 @@ _SATURATION_OFFSET = -float(ndtri(2.0**-54))
 # bound, as fractions of the canonical safety margin.
 _REFINE_DELTAS = tuple(2.0 ** (-k) for k in range(-1, 13))
 
-# Extended-stage rays build (one _rows call) and score the predicted schedules of
-# up to _CHUNK_NEARS near amplitudes ahead, riding and split pairs up to
-# _BATCH_PAIRS pairs, and _BATCH_PAIRS pairs go in one kernel call; more costs
-# more in temporaries and in work that a "first"-mode hit leaves unused.
-_CHUNK_NEARS, _BATCH_PAIRS = 8, 16
+# Pairs are built and scored ahead in chunks of 2, 4, 8, then _BATCH_PAIRS, one
+# kernel call per receiver each; larger chunks cost more in temporaries and in
+# work that a "first"-mode hit leaves unused.
+_BATCH_PAIRS = 16
 
 
 @dataclass(frozen=True)
@@ -292,7 +290,7 @@ def zchannel_limit(phi, p1, p2):
 class _Sweep:
     """Step evaluator tracking the running best and optional trace.
 
-    Rows once per point; pairs scored in batches.  It keeps both receivers'
+    Rows once per point; pairs scored in chunks.  It keeps both receivers'
     rows of every point and the limit cells of every direction the
     construction meets, and the rates of the pairs scored last.
     """
@@ -321,24 +319,15 @@ class _Sweep:
         return float(row1[idx1]), float(row2[idx2])
 
     def score(self, pairs, phis):
-        """Each pair's rates at phis, replacing those kept; _BATCH_PAIRS a kernel call.
-
-        Pairs of coincident points are skipped.
-        """
-        pairs = [pair for pair in dict.fromkeys(pairs) if pair[0] != pair[1]]
-        self._rates = {}
+        """Each pair's rates at phis, replacing those kept; one kernel call per receiver."""
+        pairs = list(dict.fromkeys(pairs))
         self.build(point for pair in pairs for point in pair)
-        laws = [(p, 1.0 - p) for p in phis]
-        for start in range(0, len(pairs), _BATCH_PAIRS):
-            batch = pairs[start : start + _BATCH_PAIRS]
-            rows = [[(self._rows[a][r], self._rows[b][r]) for a, b in batch] for r in (0, 1)]
-            for pair, rates in zip(batch, _rates_from_rows(laws, rows)):
-                self._rates[pair] = dict(zip(phis, zip(*rates)))
+        rows = [[(self._rows[a][r], self._rows[b][r]) for a, b in pairs] for r in (0, 1)]
+        rates = _rates_from_rows([(p, 1.0 - p) for p in phis], rows)
+        self._rates = {pair: dict(zip(phis, zip(*r))) for pair, r in zip(pairs, rates)}
 
     def consider(self, near, far, phi, sort_key, meta):
         """Evaluate one scored pair; returns the candidate when it clears the floor."""
-        if near == far:
-            return None
         i1, i2 = self._rates[(near, far)][phi]
         rs = i1 - i2
         self.evaluations += 1
@@ -369,35 +358,20 @@ class _Sweep:
         return None
 
 
-def _far_points(sweep, near_amp, direction):
-    """(far_amp, far point) at max(|near_amp|, 1) * 2^k along direction.
+def _far_points(chan, near_amp, direction):
+    """[(far_amp, far point)] at max(|near_amp|, 1) * 2^k along direction, k <= _MAX_DOUBLINGS.
 
-    Stops after the first saturated far point, checked when the next one is asked for.
-    """
-    base = max(abs(near_amp), 1.0)
-    for k in range(_MAX_DOUBLINGS + 1):
-        far_amp = base * 2.0**k
-        far = complex(far_amp * direction)
-        yield far_amp, far
-        if sweep.limit_mass(direction, far) == (1.0, 1.0):
-            return
-
-
-def _predicted_far_points(chan, near_amps, direction):
-    """Each near amplitude's _far_points up to its predicted saturation: rows to build.
-
-    Saturated: every limit-cell axis of both receivers clears _SATURATION_OFFSET.
+    Ends at the first far point where every limit-cell axis of both receivers
+    clears _SATURATION_OFFSET, so that both limit cells read 1.0.
     """
     axes = [axis for r in channel_mod.RECEIVERS for axis in _ray_axes(chan, r, direction)]
     if any(drift == 0.0 for drift, _ in axes):
-        return []  # no limit cell: _far_points raises
+        raise ValidationError("ray drifts along a quantizer axis; no limit cell")
     saturated = max((_SATURATION_OFFSET + (s.thresholds[-1] if d > 0.0 else -s.thresholds[0]))
                     / abs(d) for d, s in axes)
-    fars = []
-    for base in (max(abs(amp), 1.0) for amp in near_amps):
-        k = next((k for k in range(_MAX_DOUBLINGS) if base * 2.0**k >= saturated), _MAX_DOUBLINGS)
-        fars.extend(complex(base * 2.0**j * direction) for j in range(k + 1))
-    return fars
+    base = max(abs(near_amp), 1.0)
+    k = next((k for k in range(_MAX_DOUBLINGS) if base * 2.0**k >= saturated), _MAX_DOUBLINGS)
+    return [(base * 2.0**j, complex(base * 2.0**j * direction)) for j in range(k + 1)]
 
 
 def _ray_threshold_riders(chan, direction):
@@ -443,16 +417,18 @@ def construct_positive_rate(chan, options=None):
     if chan.mode == "real":
         alignment = None
         direction = 1.0 if chan.w2.re > 0.0 else -1.0
-        canonical = _ray_steps(sweep, choose_amplitude(chan), direction, 0.0, None, "limit")
+        canonical = _ray_pairs(chan, [choose_amplitude(chan)], direction, 0.0, None, "limit")
     else:
         alignment = align_phase(chan.w1, chan.w2)
         a = choose_amplitude(chan, alignment.theta)
         direction = cmath.rect(1.0, alignment.capital_phi)
-        canonical = _ray_steps(sweep, a, direction, alignment.capital_phi, 0, "limit")
+        canonical = _ray_pairs(chan, [a], direction, alignment.capital_phi, 0, "limit")
 
-    stages = [("canonical", canonical), ("extended", _extended_steps(sweep, alignment))]
+    stages = [("canonical", _pair_steps(sweep, canonical, (PHI_GRID,))),
+              ("extended", _extended_steps(sweep, alignment))]
     if chan.mode == "complex" and alignment.theta < math.pi / 4.0:
-        stages.append(("split_pair", _pair_steps(sweep, _split_pairs(alignment), PHI_GRID)))
+        split_phis = tuple((phi,) for phi in PHI_GRID)
+        stages.append(("split_pair", _pair_steps(sweep, _split_pairs(alignment), split_phis)))
     stage_evaluations = {}
     for name, steps in stages:
         before = sweep.evaluations
@@ -513,43 +489,17 @@ def _result(chan, alignment, candidate, trace):
     )
 
 
-def _ray_steps(sweep, near_amp, direction, line_angle, ray, regime):
-    """One step per far amplitude of the schedule: the whole phi grid there.
+def _ray_pairs(chan, near_amps, direction, line_angle, ray, regime):
+    """Each near amplitude's pairs along its far schedule, sorted by far amplitude.
 
-    Built in one go with the predicted far points; the near point's rows give the crossovers.
+    A near amplitude of 1 or more is its schedule's first far point: that pair is skipped.
     """
-    near = complex(near_amp * direction)
-    sweep.build([near] + _predicted_far_points(sweep.chan, [near_amp], direction))
-    meta = None
-    for far_amp, far in _far_points(sweep, near_amp, direction):
-        sweep.score([(near, far)], PHI_GRID)
-        if meta is None:
-            p1, p2 = sweep.limit_mass(direction, near)
-            meta = {"ray": ray, "line_angle": line_angle, "regime": regime, "p1": p1, "p2": p2}
-        yield [(near, far, phi, (far_amp, phi), meta) for phi in PHI_GRID]
-
-
-def _batched_ray_steps(sweep, near_amps, direction, line_angle, ray):
-    """The "searched" _ray_steps of each near amplitude in turn, built and scored ahead.
-
-    The near amplitudes go in chunks of 1, 2, 4, then _CHUNK_NEARS.  One build
-    covers a chunk's near points and their predicted far points, and all the
-    chunk's pairs are scored before its first step.
-    """
-    start, size = 0, 1
-    while start < len(near_amps):
-        chunk = near_amps[start : start + size]
-        start, size = start + size, min(2 * size, _CHUNK_NEARS)
-        nears = [complex(amp * direction) for amp in chunk]
-        sweep.build(nears + _predicted_far_points(sweep.chan, chunk, direction))
-        schedules = [list(_far_points(sweep, a, direction)) for a in chunk]
-        pairs = [(near, far) for near, fars in zip(nears, schedules) for _, far in fars]
-        sweep.score(pairs, PHI_GRID)
-        for near, fars in zip(nears, schedules):
-            p1, p2 = sweep.limit_mass(direction, near)
-            meta = {"ray": ray, "line_angle": line_angle, "regime": "searched", "p1": p1, "p2": p2}
-            for far_amp, far in fars:
-                yield [(near, far, phi, (far_amp, phi), meta) for phi in PHI_GRID]
+    meta = {"ray": ray, "line_angle": line_angle, "regime": regime}
+    for near_amp in near_amps:
+        near = complex(near_amp * direction)
+        for far_amp, far in _far_points(chan, near_amp, direction):
+            if far != near:
+                yield near, far, direction, far_amp, meta
 
 
 def _extended_steps(sweep, alignment):
@@ -572,6 +522,7 @@ def _extended_steps(sweep, alignment):
         rays = [(None, 1.0, 0.0), (None, -1.0, 0.0)]
         lines = [(1.0, 0.0, None)]
 
+    ray_pairs = []
     for ray, direction, line_angle in rays:
         bound = _ray_margin_bound(chan, direction)
         amps = [bound + math.copysign(max(1.0, abs(bound)), s)]
@@ -579,28 +530,30 @@ def _extended_steps(sweep, alignment):
         amps.extend(sorted(_ray_threshold_riders(chan, direction), key=lambda v: (abs(v), v)))
         amps.append(0.0)
         amps = list(dict.fromkeys(amp for amp in amps if math.isfinite(amp)))
-        yield from _batched_ray_steps(sweep, amps, direction, line_angle, ray)
+        ray_pairs.append(_ray_pairs(chan, amps, direction, line_angle, ray, "searched"))
 
-    yield from _pair_steps(sweep, _riding_pairs(chan, lines), (0.5, 0.3, 0.7))
+    yield from _pair_steps(sweep, chain(*ray_pairs), (PHI_GRID,))
+    yield from _pair_steps(sweep, _riding_pairs(chan, lines), ((0.5,), (0.3,), (0.7,)))
 
 
-def _pair_steps(sweep, pairs, phis):
-    """One step per (pair, phi), phis in the given order; each pair scored once, at phis.
+def _pair_steps(sweep, pairs, phi_steps):
+    """One step per (pair, phi group), the groups in the given order.
 
     pairs yields (near, far, limit direction, sort amplitude, meta); the near
     point's mass in the limit direction's cells gives the step's p1 and p2.
-    Pairs are built and scored ahead in chunks of 1, 2, 4, ... up to _BATCH_PAIRS:
-    one build and one kernel call per receiver for each chunk.
+    Pairs are built and scored ahead in chunks of 2, 4, 8, then _BATCH_PAIRS,
+    each chunk once, at the union of the groups' phis.
     """
-    pairs, size = iter(pairs), 1
+    phis = tuple(dict.fromkeys(phi for group in phi_steps for phi in group))
+    pairs, size = iter(pairs), 2
     while chunk := list(islice(pairs, size)):
         size = min(2 * size, _BATCH_PAIRS)
         sweep.score([(near, far) for near, far, *_ in chunk], phis)
         for near, far, limit_dir, amp, meta in chunk:
             p1, p2 = sweep.limit_mass(limit_dir, near)
             meta = {**meta, "p1": p1, "p2": p2}
-            for phi in phis:
-                yield [(near, far, phi, (amp, phi), meta)]
+            for group in phi_steps:
+                yield [(near, far, phi, (amp, phi), meta) for phi in group]
 
 
 def _riding_pairs(chan, lines):

@@ -8,7 +8,10 @@ which needs millions of rates, through its own cell and rate code; and
 six_tail_cells and two_exp_cell_slopes, which keep the library's earlier
 per-cell formulas so that the edge-shared ones can be pinned to their bits.
 The masked_* kernel functions likewise keep the library's earlier
-whole-array np.where formulas, to pin the in-place kernel to their bits.
+whole-array np.where formulas, to pin the in-place kernel to their bits, and
+rows_read_far_points keeps the construction's earlier far schedule, which
+reads the library's own rows, to pin the schedule worked out from the
+thresholds to it.
 """
 
 import math
@@ -18,7 +21,8 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import ndtr
 
-from wiretap_adc.channel import UNDERFLOW_FLOOR
+from wiretap_adc.achievability import _MAX_DOUBLINGS, _limit_cell_indices
+from wiretap_adc.channel import RECEIVERS, UNDERFLOW_FLOOR, transition_rows
 
 mp.mp.dps = 40
 
@@ -104,6 +108,24 @@ def canonical_limit_rate(chan, a, phis):
         p1, c1 = mp.ncdf(arg1), mp.ncdf(-arg1)
         p2, c2 = mp.ncdf(arg2), mp.ncdf(-arg2)
         return max(f(mp.mpf(phi), p1, c1) - f(mp.mpf(phi), p2, c2) for phi in phis)
+
+
+def rows_read_far_points(chan, near_amp, direction):
+    """[(far_amp, far point)] at max(|near_amp|, 1) * 2^k along direction, k <= _MAX_DOUBLINGS.
+
+    Ends at the first far point whose rows at both receivers put mass 1.0 in
+    the limit cells.
+    """
+    cells = _limit_cell_indices(chan, direction)
+    base = max(abs(near_amp), 1.0)
+    fars = []
+    for k in range(_MAX_DOUBLINGS + 1):
+        far_amp = base * 2.0**k
+        fars.append((far_amp, complex(far_amp * direction)))
+        rows = [transition_rows(chan, r, [fars[-1][1]])[0] for r in RECEIVERS]
+        if all(float(row[cell]) == 1.0 for row, cell in zip(rows, cells)):
+            break
+    return fars
 
 
 def _real_rows(gain, thresholds, xs):

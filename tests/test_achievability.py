@@ -196,12 +196,11 @@ class TestConstruct:
 
     def test_rows_built_once_per_point(self, monkeypatch):
         # C1 config 0: the canonical near amplitude is also the schedule's
-        # first far amplitude, so step 1 is (near, near) and evaluates
-        # nothing; step 2 evaluates 9 phis on (near, 2 near), where both
-        # receivers saturate.  The ray's one row build for both receivers
-        # holds the near point and the predicted far point 2 near: the near
-        # point's rows serve the crossovers and the saturation check of step
-        # 1.  The build takes one _cells call for every quantizer component of
+        # first far amplitude, so that pair is skipped and the one step
+        # evaluates 9 phis on (near, 2 near), where both receivers saturate.
+        # The ray's one row build for both receivers holds the near point and
+        # the far point 2 near; the near point's rows serve the crossovers.
+        # The build takes one _cells call for every quantizer component of
         # both receivers, and the 9 phis take one batched kernel call per
         # receiver.
         calls = []
@@ -300,19 +299,27 @@ class TestConstruct:
                 reprs.append(repr(exc.diagnostics))
         return reprs
 
-    def test_predicted_far_points_are_only_a_hint(self, monkeypatch):
-        # without the prediction every far point is built when its schedule
-        # asks for it; the results, traces and diagnostics keep every bit
-        runs = [(range(40), ConstructOptions()),
-                (range(20), ConstructOptions(mode="best", keep_trace=True))]
-        want = [self.c1_reprs(configs, options) for configs, options in runs]
-        monkeypatch.setattr(achievability_mod, "_predicted_far_points", lambda *args: [])
-        assert [self.c1_reprs(configs, options) for configs, options in runs] == want
+    def test_far_points_match_the_rows_read_schedule(self, monkeypatch):
+        # every far schedule the construction meets on C1 configs 0-199, in
+        # both modes, stops where the far point's rows read 1.0 in both limit
+        # cells
+        far_points, schedules = achievability_mod._far_points, {}
 
-    def test_predicted_far_points_cover_every_schedule(self, monkeypatch):
-        # C1 configs 0-199: no schedule reaches a far point the prediction
-        # left unbuilt, so limit_mass never builds rows; 586 _rows calls with
-        # the prediction, 1,202 with the round-by-round builds it replaced
+        def recorded(chan, near_amp, direction):
+            fars = far_points(chan, near_amp, direction)
+            schedules[(chan, near_amp, direction)] = fars
+            return fars
+
+        monkeypatch.setattr(achievability_mod, "_far_points", recorded)
+        self.c1_reprs(range(200), ConstructOptions())
+        self.c1_reprs(range(200), ConstructOptions(mode="best"))
+        assert len(schedules) > 1000
+        for (chan, near_amp, direction), fars in schedules.items():
+            assert fars == oracles.rows_read_far_points(chan, near_amp, direction)
+
+    def test_pair_chunks_build_every_point_read(self, monkeypatch):
+        # C1 configs 0-199: each chunk of pairs builds the rows its limit
+        # lookups read, so limit_mass never builds rows; 492 _rows calls
         calls = {"rows": 0, "lazy": 0}
         rows, limit_mass = channel_mod._rows, achievability_mod._Sweep.limit_mass
 
@@ -330,7 +337,7 @@ class TestConstruct:
         monkeypatch.setattr(achievability_mod._Sweep, "limit_mass", watched)
         self.c1_reprs(range(200), ConstructOptions())
         assert calls["lazy"] == 0
-        assert calls["rows"] <= 586
+        assert calls["rows"] <= 492
 
     def test_rate_positive_across_random_channels(self):
         rng = np.random.default_rng(21)
