@@ -23,11 +23,12 @@ the smallest-(amplitude, phi) candidate above the floor in the first step
 that has one; mode "best" runs whole stages and returns the best candidate
 once a stage ends with it above the floor.
 
-Rows once per point; pairs scored in chunks.  Every stage is a stream of
-pairs, each with the phis its steps read.  Each chunk of pairs is built (both
-receivers' rows of its new points, one _cells call) and scored (one kernel
-call per receiver, at the phis of all its steps) before its first step.  Far
-schedules stop where both limit cells read 1.0, worked out from the thresholds.
+One scan loop.  Every stage is a list of scans, each a stream of pairs with
+the phis its steps read and the number of phis per step.  The scan builds each
+chunk of pairs (both receivers' rows of its new points, one _cells call),
+scores it (one kernel call per receiver, at all the scan's phis) and then
+walks the chunk's rates in stream order.  Far schedules stop where both limit
+cells read 1.0, worked out from the thresholds.
 """
 
 import cmath
@@ -253,12 +254,17 @@ def crossover_probs(chan, theta, a):
     a = require_finite("a", a)
     if not chan.has_symmetric_one_bit_legit():
         raise ValidationError("crossover_probs needs a symmetric one-bit legitimate receiver")
-    if chan.mode == "real":
-        direction = 1.0 if chan.w2.re > 0.0 else -1.0
-    else:
+    if chan.mode == "complex":
         theta = _require_theta(theta)
-        direction = cmath.rect(1.0, theta - chan.w2.phase)
+    direction = _canonical_direction(chan, theta)
     return _Sweep(chan, ConstructOptions()).limit_mass(direction, complex(a * direction))
+
+
+def _canonical_direction(chan, theta):
+    """The canonical ray's unit direction: sign(w2) in real mode, else e^{j(theta - angle(w2))}."""
+    if chan.mode == "real":
+        return 1.0 if chan.w2.re > 0.0 else -1.0
+    return cmath.rect(1.0, theta - chan.w2.phase)
 
 
 def choose_amplitude(chan, theta=None):
@@ -288,20 +294,19 @@ def zchannel_limit(phi, p1, p2):
 
 
 class _Sweep:
-    """Step evaluator tracking the running best and optional trace.
+    """Pair-stream scanner tracking the running best and optional trace.
 
-    Rows once per point; pairs scored in chunks.  It keeps both receivers'
-    rows of every point and the limit cells of every direction the
-    construction meets, and the rates of the pairs scored last.
+    It keeps both receivers' rows of every point and the limit cells of every
+    direction the construction meets, so each point is built once.
     """
 
     def __init__(self, chan, options):
         self.chan = chan
         self.options = options
         self.trace = [] if options.keep_trace else None
-        self.best = None  # (rs, sort_key, candidate)
+        self.best = None  # (rs, (sort amplitude, phi), candidate)
         self.evaluations = 0
-        self._rows, self._cells, self._rates = {}, {}, {}  # by point, direction, pair
+        self._rows, self._cells = {}, {}  # by point, by direction
 
     def build(self, points):
         """Rows of the points not met yet at both receivers, from one _cells call."""
@@ -318,43 +323,45 @@ class _Sweep:
         (idx1, idx2), (row1, row2) = self._cells[direction], self._rows[point]
         return float(row1[idx1]), float(row2[idx2])
 
-    def score(self, pairs, phis):
-        """Each pair's rates at phis, replacing those kept; one kernel call per receiver."""
-        pairs = list(dict.fromkeys(pairs))
-        self.build(point for pair in pairs for point in pair)
-        rows = [[(self._rows[a][r], self._rows[b][r]) for a, b in pairs] for r in (0, 1)]
-        rates = _rates_from_rows([(p, 1.0 - p) for p in phis], rows)
-        self._rates = {pair: dict(zip(phis, zip(*r))) for pair, r in zip(pairs, rates)}
+    def scan(self, pairs, phis, width):
+        """Evaluate each pair at phis in stream order, one step per run of width phis.
 
-    def consider(self, near, far, phi, sort_key, meta):
-        """Evaluate one scored pair; returns the candidate when it clears the floor."""
-        i1, i2 = self._rates[(near, far)][phi]
-        rs = i1 - i2
-        self.evaluations += 1
-        if self.trace is not None:
-            limit = meta.get("limit", zchannel_limit(phi, meta["p1"], meta["p2"]))
-            self.trace.append((sort_key[0], phi, i1, i2, rs, limit))
-        hit = rs > RATE_FLOOR
-        best = self.best is None or rs > self.best[0] or (
-            rs == self.best[0] and sort_key < self.best[1])
-        if not (best or hit):
-            return None
-        power = phi * abs(near) ** 2 + (1.0 - phi) * abs(far) ** 2
-        candidate = (near, far, phi, RateReport(i1, i2, rs, power), meta)
-        if best:
-            self.best = (rs, sort_key, candidate)
-        return candidate if hit else None
-
-    def first_hit(self, steps):
-        """Evaluate steps in order; the "first"-mode hit (module docstring) or None."""
-        for step in steps:
-            hits = []
-            for near, far, phi, sort_key, meta in step:
-                candidate = self.consider(near, far, phi, sort_key, meta)
-                if candidate is not None:
-                    hits.append((sort_key, candidate))
-            if hits and self.options.mode == "first":
-                return min(hits, key=lambda hit: hit[0])[1]
+        pairs yields (near, far, limit direction, sort amplitude, meta), built
+        and scored in chunks of 2, 4, 8, then _BATCH_PAIRS; the near point's
+        mass in the limit direction's cells gives p1 and p2.  Returns the
+        "first"-mode hit (module docstring) or None.
+        """
+        laws = [(phi, 1.0 - phi) for phi in phis]
+        steps = [range(k, k + width) for k in range(0, len(phis), width)]
+        pairs, size = iter(pairs), 2
+        while chunk := list(islice(pairs, size)):
+            size = min(2 * size, _BATCH_PAIRS)
+            self.build(point for pair in chunk for point in pair[:2])
+            rates = _rates_from_rows(laws, [[(self._rows[near][r], self._rows[far][r])
+                                             for near, far, *_ in chunk] for r in (0, 1)])
+            for (near, far, limit_dir, amp, meta), (i1s, i2s) in zip(chunk, rates):
+                p1, p2 = self.limit_mass(limit_dir, near)
+                meta = {**meta, "p1": p1, "p2": p2}
+                for step in steps:
+                    hit = None
+                    for j in step:
+                        phi, i1, i2 = phis[j], i1s[j], i2s[j]
+                        rs = i1 - i2
+                        self.evaluations += 1
+                        if self.trace is not None:
+                            limit = meta.get("limit", zchannel_limit(phi, p1, p2))
+                            self.trace.append((amp, phi, i1, i2, rs, limit))
+                        first = rs > RATE_FLOOR and (hit is None or phi < hit[2])
+                        best = self.best is None or rs > self.best[0] or (
+                            rs == self.best[0] and (amp, phi) < self.best[1])
+                        if first or best:
+                            power = phi * abs(near) ** 2 + (1.0 - phi) * abs(far) ** 2
+                            candidate = (near, far, phi, RateReport(i1, i2, rs, power), meta)
+                            hit = candidate if first else hit
+                            if best:
+                                self.best = (rs, (amp, phi), candidate)
+                    if hit is not None and self.options.mode == "first":
+                        return hit
         return None
 
 
@@ -414,25 +421,21 @@ def construct_positive_rate(chan, options=None):
         raise EqualGainError("equal gain magnitudes: |w1| == |w2|")
 
     sweep = _Sweep(chan, options)
-    if chan.mode == "real":
-        alignment = None
-        direction = 1.0 if chan.w2.re > 0.0 else -1.0
-        canonical = _ray_pairs(chan, [choose_amplitude(chan)], direction, 0.0, None, "limit")
-    else:
-        alignment = align_phase(chan.w1, chan.w2)
-        a = choose_amplitude(chan, alignment.theta)
-        direction = cmath.rect(1.0, alignment.capital_phi)
-        canonical = _ray_pairs(chan, [a], direction, alignment.capital_phi, 0, "limit")
+    alignment = None if chan.mode == "real" else align_phase(chan.w1, chan.w2)
+    theta, line_angle, ray = (None, 0.0, None) if alignment is None else (
+        alignment.theta, alignment.capital_phi, 0)
+    canonical = _ray_pairs(chan, [choose_amplitude(chan, theta)],
+                           _canonical_direction(chan, theta), line_angle, ray, "limit")
 
-    stages = [("canonical", _pair_steps(sweep, canonical, (PHI_GRID,))),
-              ("extended", _extended_steps(sweep, alignment))]
-    if chan.mode == "complex" and alignment.theta < math.pi / 4.0:
-        split_phis = tuple((phi,) for phi in PHI_GRID)
-        stages.append(("split_pair", _pair_steps(sweep, _split_pairs(alignment), split_phis)))
+    # lists of scans (pairs, phis, phis per step); the extended rays are worked out lazily
+    stages = [("canonical", [(canonical, PHI_GRID, len(PHI_GRID))]),
+              ("extended", _extended_scans(chan, alignment))]
+    if chan.mode == "complex" and theta < math.pi / 4.0:
+        stages.append(("split_pair", [(_split_pairs(chan, alignment), PHI_GRID, 1)]))
     stage_evaluations = {}
-    for name, steps in stages:
+    for name, scans in stages:
         before = sweep.evaluations
-        hit = sweep.first_hit(steps)
+        hit = next(filter(None, (sweep.scan(*scan) for scan in scans)), None)
         stage_evaluations[name] = sweep.evaluations - before
         if hit is None and sweep.best is not None and sweep.best[0] > RATE_FLOOR:
             hit = sweep.best[2]
@@ -502,8 +505,8 @@ def _ray_pairs(chan, near_amps, direction, line_angle, ray, regime):
                 yield near, far, direction, far_amp, meta
 
 
-def _extended_steps(sweep, alignment):
-    """Deterministic fallback steps beyond the canonical margin rule.
+def _extended_scans(chan, alignment):
+    """Deterministic fallback scans beyond the canonical margin rule.
 
     First alternative near amplitudes rerun the far schedule on each
     quarter-turn ray: the per-ray margin amplitude, refinements toward the
@@ -512,7 +515,6 @@ def _extended_steps(sweep, alignment):
     (0.5, 0.3, 0.7) order, which covers eavesdropper-pinning inputs the
     schedule cannot reach.
     """
-    chan = sweep.chan
     s = chan.w2.magnitude - chan.w1.magnitude
     if chan.mode == "complex":
         base = alignment.capital_phi
@@ -532,28 +534,8 @@ def _extended_steps(sweep, alignment):
         amps = list(dict.fromkeys(amp for amp in amps if math.isfinite(amp)))
         ray_pairs.append(_ray_pairs(chan, amps, direction, line_angle, ray, "searched"))
 
-    yield from _pair_steps(sweep, chain(*ray_pairs), (PHI_GRID,))
-    yield from _pair_steps(sweep, _riding_pairs(chan, lines), ((0.5,), (0.3,), (0.7,)))
-
-
-def _pair_steps(sweep, pairs, phi_steps):
-    """One step per (pair, phi group), the groups in the given order.
-
-    pairs yields (near, far, limit direction, sort amplitude, meta); the near
-    point's mass in the limit direction's cells gives the step's p1 and p2.
-    Pairs are built and scored ahead in chunks of 2, 4, 8, then _BATCH_PAIRS,
-    each chunk once, at the union of the groups' phis.
-    """
-    phis = tuple(dict.fromkeys(phi for group in phi_steps for phi in group))
-    pairs, size = iter(pairs), 2
-    while chunk := list(islice(pairs, size)):
-        size = min(2 * size, _BATCH_PAIRS)
-        sweep.score([(near, far) for near, far, *_ in chunk], phis)
-        for near, far, limit_dir, amp, meta in chunk:
-            p1, p2 = sweep.limit_mass(limit_dir, near)
-            meta = {**meta, "p1": p1, "p2": p2}
-            for group in phi_steps:
-                yield [(near, far, phi, (amp, phi), meta) for phi in group]
+    yield chain(*ray_pairs), PHI_GRID, len(PHI_GRID)
+    yield _riding_pairs(chan, lines), (0.5, 0.3, 0.7), 1
 
 
 def _riding_pairs(chan, lines):
@@ -572,7 +554,7 @@ def _riding_pairs(chan, lines):
             yield near, far, far_dir, abs(far_amp), meta
 
 
-def _split_pairs(alignment):
+def _split_pairs(chan, alignment):
     """Near point on the canonical ray, far point half a quarter-turn further.
 
     With theta < pi/4 the eavesdropper sees both rays inside its first
@@ -581,7 +563,7 @@ def _split_pairs(alignment):
     corner cell but into different legitimate cells, and the rate tends to
     h(phi).
     """
-    near_dir = cmath.rect(1.0, alignment.capital_phi)
+    near_dir = _canonical_direction(chan, alignment.theta)
     far_angle = alignment.capital_phi + QUARTER / 2.0
     far_dir = cmath.rect(1.0, far_angle)
     meta = {"ray": None, "line_angle": alignment.capital_phi, "far_angle": far_angle,

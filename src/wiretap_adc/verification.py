@@ -12,7 +12,6 @@ The CLI's verify subcommand runs all suites and maps any failure to a
 non-zero exit code.
 """
 
-import cmath
 import logging
 import math
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import optimizer as optimizer_mod
-from .achievability import _far_points, achieve, qpsk_bound
+from .achievability import _canonical_direction, _far_points, achieve, qpsk_bound
 from .adc import AdcSpec, ComplexAdcPair, one_bit_pair
 from .channel import ComplexGain, WiretapChannel, q_function, transition_rows
 from .errors import SweepExhaustedError, ValidationError
@@ -294,13 +293,9 @@ def _limit_deviation(chan, result):
     if result.regime != "limit":
         return None, 0
     threshold = _convergence_threshold(chan, result)
-    if chan.mode == "complex":
-        direction = cmath.rect(1.0, result.capital_phi)
-        near = complex(result.a * direction)
-    else:
-        # real-mode result.a/.b are already the signed points
-        direction = 1.0 if result.b >= 0.0 else -1.0
-        near = complex(result.a)
+    direction = _canonical_direction(chan, result.theta)
+    # real-mode result.a is already the signed point
+    near = complex(result.a * direction) if chan.mode == "complex" else complex(result.a)
     worst = 0.0
     checked = 0
     for far_amp, far in _far_points(chan, result.a, direction):
@@ -532,6 +527,8 @@ SUITES = (
 def run_verification(seed=0, names=None):
     """Run the named suites (default: all) with per-suite seeded randomness."""
     wanted = None if names is None else set(names)
+    if wanted == set():
+        raise ValidationError("no verification suites selected")
     results = []
     for index, (name, fn) in enumerate(SUITES):
         if wanted is not None and name not in wanted:

@@ -146,11 +146,12 @@ def test_c01_reported_rates_equal_fresh_secrecy_rates(construction_runs):
 
 
 # sha256 over the repr of every C1 result (exhaustion diagnostics for an
-# exhausted config), one per line: the 200 default constructions, and the
-# first 100 in mode "best" with the trace kept.  A construction speedup must
-# keep every bit of them.
+# exhausted config), one per line: the 200 default constructions, the first
+# 100 in mode "best" with the trace kept, and the 200 in mode "first" with the
+# trace kept.  A construction speedup must keep every bit of them.
 C1_RESULTS_SHA256 = "e706ea6df233adb6e9e5c9fb905d2faabb83b48bed65e11c57b2b43dd53d31ab"
 C1_BEST_TRACED_SHA256 = "68fd48fc6b7b39bf98473e6b2bce9a7bb7e452015b6af80eb2e388b8997d3d52"
+C1_FIRST_TRACED_SHA256 = "80b9bab6e133af588828ac4261f78b75e64c70e9a4a190763037d93b0265e95a"
 
 
 def _results_sha256(reprs):
@@ -161,14 +162,18 @@ def test_c01_results_are_byte_identical_to_frozen_digests(construction_runs):
     runs, _ = construction_runs
     reprs = [repr(diag if result is None else result) for _, _, result, diag in runs]
     assert _results_sha256(reprs) == C1_RESULTS_SHA256
-    reprs = []
-    for case in range(100):
-        chan = criterion1_channel(rng_for(1, case), "real" if case % 2 else "complex")
-        try:
-            reprs.append(repr(achieve(chan, ConstructOptions(mode="best", keep_trace=True))))
-        except SweepExhaustedError as exc:
-            reprs.append(repr(exc.diagnostics))
-    assert _results_sha256(reprs) == C1_BEST_TRACED_SHA256
+    for configs, options, expected in (
+        (range(100), ConstructOptions(mode="best", keep_trace=True), C1_BEST_TRACED_SHA256),
+        (range(200), ConstructOptions(keep_trace=True), C1_FIRST_TRACED_SHA256),
+    ):
+        reprs = []
+        for case in configs:
+            chan = criterion1_channel(rng_for(1, case), "real" if case % 2 else "complex")
+            try:
+                reprs.append(repr(achieve(chan, options)))
+            except SweepExhaustedError as exc:
+                reprs.append(repr(exc.diagnostics))
+        assert _results_sha256(reprs) == expected
 
 
 # A construction keeps every point's rows and scores pairs in chunks; this

@@ -218,29 +218,38 @@ class TestConstruct:
         assert sum(name == "_cells" for name, _ in calls) == 1
         assert sum(name == "_mutual_information_arrays" for name, _ in calls) == 2
 
+    @staticmethod
+    def tee_scanned_pairs(monkeypatch, calls):
+        """Record each pair as _Sweep.scan pulls it from its stream, in calls."""
+        scan = achievability_mod._Sweep.scan
+
+        def teed(sweep, pairs, *args):
+            def pulled():
+                for pair in pairs:
+                    calls.append(("pair", pair))
+                    yield pair
+
+            return scan(sweep, pulled(), *args)
+
+        monkeypatch.setattr(achievability_mod._Sweep, "scan", teed)
+
     @pytest.mark.parametrize("case, mode", [(7, "real"), (28, "complex")])
     def test_extended_rays_build_each_point_once_and_batch_pairs(self, monkeypatch, case, mode):
         # C1 config 7 exhausts the sweep; config 28 runs every extended ray
         # before its split pair clears the floor
-        calls, pairs = [], set()
+        calls = []
         self.count_calls(
             monkeypatch, calls,
             (channel_mod, "_rows"),
             (infotheory_mod, "_mutual_information_arrays"),
         )
-        consider = achievability_mod._Sweep.consider
-
-        def scored(sweep, near, far, *args):
-            if near != far:
-                pairs.add((near, far))
-            return consider(sweep, near, far, *args)
-
-        monkeypatch.setattr(achievability_mod._Sweep, "consider", scored)
+        self.tee_scanned_pairs(monkeypatch, calls)
         chan = criterion1_channel(np.random.default_rng([1, 1, case]), mode)
         try:
             construct_positive_rate(chan)
         except SweepExhaustedError:
             assert case == 7
+        pairs = {args[:2] for name, args in calls if name == "pair" and args[0] != args[1]}
         builds = [args[1:] for name, args in calls if name == "_rows"]
         assert builds and pairs
         assert {receivers for receivers, _ in builds} == {("legit", "eave")}
@@ -254,34 +263,27 @@ class TestConstruct:
         # clears the floor at 0.3.  Each riding pair is scored once, in
         # chunks that share one kernel call per receiver carrying only the 3
         # phis the steps read.
-        calls, riding = [], set()
+        calls = []
         self.count_calls(monkeypatch, calls, (infotheory_mod, "_mutual_information_arrays"))
-        sweep_cls = achievability_mod._Sweep
-        score, consider = sweep_cls.score, sweep_cls.consider
-
-        def scoring(sweep, pairs, *args):
-            pairs = list(pairs)
-            calls.append(("score", pairs))
-            return score(sweep, pairs, *args)
-
-        def considering(sweep, near, far, phi, sort_key, meta):
-            if "limit" in meta:  # only riding pairs leave the trace's limit column empty
-                riding.add((near, far))
-            return consider(sweep, near, far, phi, sort_key, meta)
-
-        monkeypatch.setattr(sweep_cls, "score", scoring)
-        monkeypatch.setattr(sweep_cls, "consider", considering)
+        self.tee_scanned_pairs(monkeypatch, calls)
         chan = criterion1_channel(np.random.default_rng([5, 5, 57]), "real")
         res = construct_positive_rate(chan)
         assert (res.regime, res.phi) == ("searched", 0.3)
-        scored, laws = [], []  # riding pairs per score call; laws per kernel call of those calls
+        # the pairs pulled before a kernel call form its chunk
+        scored, laws, chunk, carries = [], [], [], False
         for name, args in calls:
-            if name == "score":
-                carries = not riding.isdisjoint(args)
+            if name == "pair":
+                chunk.append(args)
+                continue
+            if chunk:
+                # only riding pairs leave the trace's limit column empty
+                carries = all("limit" in meta for *_, meta in chunk)
                 if carries:
-                    scored.append(args)
-            elif carries:
+                    scored.append([pair[:2] for pair in chunk])
+                chunk = []
+            if carries:
                 laws.append(len(args[0]))
+        riding = {pair[:2] for name, pair in calls if name == "pair" and "limit" in pair[4]}
         assert riding and max(len(chunk) for chunk in scored) > 1
         flat = [pair for chunk in scored for pair in chunk]
         assert len(flat) == len(set(flat)) and riding <= set(flat)

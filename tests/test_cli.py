@@ -338,6 +338,13 @@ class TestVerify:
             "entropy_identity",
         ]
 
+    def test_empty_suite_list_is_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, verify={"suites": []})
+        assert main(["verify", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "no verification suites selected" in captured.err
+        assert captured.out == ""
+
     def test_broken_invariant_fails(self, tmp_path, capsys, monkeypatch):
         import wiretap_adc.optimizer as optimizer
 

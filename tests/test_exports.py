@@ -53,3 +53,28 @@ def test_modules_import_no_unused_name():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused |= {(path.stem, name) for name in imported - read}
     assert unused == set(UNUSED_IMPORTS_KEPT)
+
+
+def test_every_private_definition_is_referenced():
+    # a private module-level function or class that nothing in the package
+    # names is dead code left behind by a refactor
+    trees = [ast.parse(path.read_text())
+             for path in pathlib.Path(wiretap_adc.__file__).parent.glob("*.py")]
+    defined = {
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+    }
+    referenced = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    assert len(defined) > 50
+    assert defined - referenced == set()
