@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .util import require_finite
+from .util import require_finite, require_number
 
 # Joint transition rows have k_R * k_I entries; 4096 per component keeps them
 # desk-sized.
@@ -58,7 +58,8 @@ class AdcSpec:
     def from_json(cls, obj):
         if not isinstance(obj, dict) or "thresholds" not in obj or "outputs" not in obj:
             raise ValidationError(f"ADC spec needs thresholds/outputs keys, got {obj!r}")
-        return cls(tuple(obj["thresholds"]), tuple(obj["outputs"]))
+        keys = ("thresholds", "outputs")
+        return cls(*(tuple(require_number(key, v) for v in obj[key]) for key in keys))
 
 
 @dataclass(frozen=True, slots=True)

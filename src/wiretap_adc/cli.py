@@ -31,7 +31,7 @@ from .optimizer import (
     kkt_check,
     optimize_wyner_rate,
 )
-from .util import require_finite
+from .util import require_integer, require_number
 
 _ACHIEVE_KEYS = {"mode"}
 _OPTIMIZE_KEYS = {"support_size", "restarts", "seed", "max_iterations"}
@@ -104,7 +104,7 @@ def _budget_from(cfg, required=True):
         if required:
             raise ValidationError("config is missing the power budget 'J'")
         return None
-    return float(cfg["J"])
+    return require_number("J", cfg["J"])
 
 
 def _options_section(cfg, name, keys):
@@ -192,10 +192,8 @@ def cmd_optimize(args):
     else:
         verdict = check_support_condition(result.input, chan).to_json()
     payload = {
+        **result.to_json(),
         "seed": config.seed,
-        "input": result.input.to_json(),
-        "rate_report": result.report.to_json(),
-        "power_budget": j,
         "kkt_report": kkt.to_json(),
         "support_verdict": verdict,
     }
@@ -228,9 +226,9 @@ def _sweep_grid(section):
     if axis not in _SWEEP_AXES:
         raise ValidationError(f"sweep axis must be one of {_SWEEP_AXES}, got {axis!r}")
     try:
-        start = require_finite("sweep start", float(section["start"]))
-        stop = require_finite("sweep stop", float(section["stop"]))
-        num = int(section["num"])
+        start = require_number("sweep start", section["start"])
+        stop = require_number("sweep stop", section["stop"])
+        num = require_integer("sweep num", section["num"])
     except KeyError as missing:
         raise ValidationError(f"sweep section is missing {missing}") from None
     scale = section.get("scale", "linear")
@@ -310,7 +308,7 @@ def cmd_verify(args):
     if args.config:
         cfg = _load_config(args)
         section = _options_section(cfg, "verify", _VERIFY_KEYS)
-        seed = int(section.get("seed", 0))
+        seed = require_integer("verify seed", section.get("seed", 0))
         names = section.get("suites")
         if names is not None and not isinstance(names, list):
             raise ValidationError(f"verify suites must be a list of suite names, got {names!r}")
@@ -348,7 +346,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         print(json.dumps(exc.diagnostics, indent=2, sort_keys=True), file=sys.stderr)
         return 4
-    except (ValidationError, ValueError, KeyError, TypeError, OSError) as exc:
+    except (ValidationError, ValueError, KeyError, TypeError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

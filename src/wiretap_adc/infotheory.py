@@ -12,7 +12,7 @@ from scipy.special import ndtr
 
 from . import channel as channel_mod
 from .errors import ValidationError
-from .util import complex_from_json, complex_to_json, require_finite
+from .util import complex_from_json, complex_to_json, require_finite, require_number
 
 PROB_SUM_TOL = 1e-12
 
@@ -40,7 +40,7 @@ class DiscreteInput:
                 raise ValidationError(f"support points must be finite, got {z!r}")
         if len(set(points)) != len(points):
             raise ValidationError("support points must be pairwise distinct")
-        if any(p < 0.0 for p in probs):
+        if not all(p >= 0.0 for p in probs):  # NaN too: it would pass the sum check
             raise ValidationError(f"probabilities must be nonnegative: {probs}")
         total = math.fsum(probs)
         if abs(total - 1.0) > PROB_SUM_TOL:
@@ -70,7 +70,7 @@ class DiscreteInput:
         if not isinstance(obj, dict) or "points" not in obj or "probs" not in obj:
             raise ValidationError(f"input config needs points/probs keys, got {obj!r}")
         pts = [complex_from_json(p, "point") for p in obj["points"]]
-        return cls(tuple(pts), tuple(obj["probs"]))
+        return cls(tuple(pts), tuple(require_number("probs", p) for p in obj["probs"]))
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,8 +8,10 @@ restart 1 from a single-signed grid, restart 2 from a duty-cycled version of
 the constructive scheme's two points when one exists, and the rest from
 seeded random draws.  The constructive start matters: near/far inputs with
 strongly skewed probabilities sit in a basin random starts rarely reach.
-Each restart's result is cleaned up (merge, prune) and offered fold/reflect
-moves before the best candidate is selected.
+Each restart cleans its solution up (merge, prune) into one DiscreteInput,
+scores it and its fold/reflect moves once each, scales the best radially onto
+the budget (scoring it again only if it moved) and offers that input with its
+RateReport as the restart's candidate; the winner is not scored again.
 
 The module also carries the analysis tools used to audit optimizer outputs:
 exact input folding, the folding-gap sign diagnostic, the sign-pattern
@@ -18,7 +20,7 @@ support condition, and a KKT stationarity check with an estimated multiplier.
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from .infotheory import (
     information_densities,
     secrecy_rate,
 )
-from .util import require_budget
+from .util import require_budget, require_integer
 
 logger = logging.getLogger(__name__)
 
@@ -55,6 +57,9 @@ class OptimizeConfig:
     max_iterations: int = 2000  # SLSQP maxiter per restart
 
     def __post_init__(self):
+        for field in fields(self):
+            value = require_integer(field.name, getattr(self, field.name))
+            object.__setattr__(self, field.name, value)
         if not 1 <= self.support_size <= MAX_SUPPORT:
             raise ValidationError(
                 f"support_size must lie in [1, {MAX_SUPPORT}], got {self.support_size}"
@@ -83,11 +88,6 @@ class OptimizeResult:
 def _require_real(chan, what):
     if chan.mode != "real":
         raise ValidationError(f"{what} needs a real-mode channel")
-
-
-def _rates_at(chan, points, probs):
-    i1, i2 = _rate_arrays(chan, points, probs)
-    return i1 - i2
 
 
 def _rate_and_gradient(chan, points, probs):
@@ -119,12 +119,10 @@ def minimize(*args, **kwargs):
 
 
 def _cleanup(points, probs):
-    """Merge near-coincident points and drop negligible probabilities."""
+    """Merge near-coincident points and drop negligible probabilities; sorted ascending."""
     order = np.argsort(points)
-    points = points[order]
-    probs = probs[order]
     merged_pts, merged_probs = [], []
-    for x, p in zip(points, probs):
+    for x, p in zip(points[order], probs[order]):
         if merged_pts and x - merged_pts[-1] <= _MERGE_TOL:
             total = merged_probs[-1] + p
             if total > 0.0:
@@ -133,22 +131,12 @@ def _cleanup(points, probs):
         else:
             merged_pts.append(x)
             merged_probs.append(p)
-    points = np.asarray(merged_pts)
     probs = np.asarray(merged_probs)
     keep = probs > _PRUNE_TOL
     if not keep.any():
         keep = probs == probs.max()
-    points = points[keep]
     probs = probs[keep]
-    return points, probs / probs.sum()
-
-
-def _sorted_input(points, probs):
-    order = np.argsort(points)
-    return DiscreteInput(
-        tuple(complex(x) for x in points[order]),
-        tuple(float(p) for p in probs[order]),
-    )
+    return DiscreteInput(np.asarray(merged_pts)[keep], probs / probs.sum())
 
 
 def _better(cand, best):
@@ -184,7 +172,7 @@ def _construct_seed(chan, power_budget, n):
     from .achievability import achieve
 
     try:
-        result = achieve(chan, power_budget=power_budget)
+        result = achieve(chan)
     except (ValidationError, EqualGainError, SweepExhaustedError):
         return None
     near, far = (x.real for x in result.input.points)
@@ -197,7 +185,7 @@ def _construct_seed(chan, power_budget, n):
                 continue
             refit = math.copysign(math.sqrt(residual / (1.0 - duty)), far)
             candidates.append(((shrunk, refit), (duty, 1.0 - duty)))
-    pts, probs = max(candidates, key=lambda c: _rates_at(chan, *c))
+    pts, probs = max(candidates, key=lambda c: np.subtract(*_rate_arrays(chan, *c)))
     reps = -(-n // len(pts))
     probs_full = np.tile(probs, reps)[:n]
     return np.tile(pts, reps)[:n], probs_full / probs_full.sum()
@@ -234,7 +222,7 @@ def optimize_wyner_rate(chan, power_budget, config=None):
         jac=lambda vec: np.concatenate([2.0 * vec[n:] * vec[:n], vec[:n] * vec[:n]]),
     )
 
-    best = None  # (rs, power, pts tuple, probs tuple)
+    best = None  # (_better's (rs, power, points) tuple, input, report)
     trace = []
     seed_start = _construct_seed(chan, j, n)
     for restart in range(config.restarts):
@@ -258,55 +246,36 @@ def optimize_wyner_rate(chan, power_budget, config=None):
             constraints=(simplex, budget),
             options={"maxiter": config.max_iterations, "ftol": 1e-15},
         )
-        pts, probs = _cleanup(res.x[:n], res.x[n:])
-        rs = _rates_at(chan, pts, probs)
-
-        # fold/reflect moves help escape sign-pattern local optima
-        for moved in _fold_moves(pts, probs, config.support_size):
-            moved_pts, moved_probs = moved
-            rs_moved = _rates_at(chan, moved_pts, moved_probs)
-            if rs_moved > rs:
-                logger.debug(
-                    "restart %d: fold/reflect move improved rate %.3e -> %.3e",
-                    restart, rs, rs_moved,
-                )
-                pts, probs, rs = moved_pts, moved_probs, rs_moved
+        dist = _cleanup(res.x[:n], res.x[n:])
+        # fold/reflect moves escape sign-pattern local optima; the first of equal rates wins
+        moves = [dist]
+        folded, reflected = fold_input(dist), reflect_input(dist)
+        if folded != dist:
+            moves.append(folded)
+        if len(reflected.points) <= n:
+            moves.append(reflected)
+        rates = [_rate_arrays(chan, m.points, m.probs) for m in moves]
+        (i1, i2), moved = max(zip(rates, moves), key=lambda t: t[0][0] - t[0][1])
+        if moved is not dist:
+            logger.debug("restart %d: fold/reflect move improved rate to %.3e", restart, i1 - i2)
 
         # SLSQP meets E[X^2] <= J only to its tolerance, or not at all when it
         # stops early: scale radially, then step down past the last ulp
+        pts, probs = moved.real_points(), np.asarray(moved.probs)
         power = float(probs @ (pts * pts))
         scale = math.sqrt(j / power) if power > j else 1.0
-        input_dist = _sorted_input(scale * pts, probs)
-        while input_dist.power > j:
+        while (scaled := DiscreteInput(scale * pts, moved.probs)).power > j:
             scale = math.nextafter(scale, 0.0)
-            input_dist = _sorted_input(scale * pts, probs)
         if scale != 1.0:
-            pts = scale * pts
-            rs = _rates_at(chan, pts, probs)
-        power = input_dist.power
+            i1, i2 = _rate_arrays(chan, scaled.points, scaled.probs)
+        report = RateReport(i1=i1, i2=i2, rs=i1 - i2, power=scaled.power)
 
-        trace.append((config.seed, restart, int(res.nit), rs, power))
-        cand = (rs, power, tuple(pts))
-        if best is None or _better(cand, best[:3]):
-            best = (rs, power, tuple(pts), input_dist)
+        trace.append((config.seed, restart, int(res.nit), report.rs, report.power))
+        cand = (report.rs, report.power, tuple(scale * pts))
+        if best is None or _better(cand, best[0]):
+            best = (cand, scaled, report)
 
-    report = secrecy_rate(chan, best[3])
-    return OptimizeResult(
-        input=best[3], report=report, power_budget=j, trace=tuple(trace)
-    )
-
-
-def _fold_moves(points, probs, support_cap):
-    """Candidate rewrites of the support: fold onto |x| and reflect to +/-."""
-    dist = DiscreteInput(tuple(complex(x) for x in points), tuple(probs))
-    moves = []
-    folded = fold_input(dist)
-    if len(folded.points) < len(points) or any(x < 0 for x in points):
-        moves.append(folded)
-    reflected = reflect_input(dist)
-    if len(reflected.points) <= support_cap:
-        moves.append(reflected)
-    return [(move.real_points(), np.asarray(move.probs)) for move in moves]
+    return OptimizeResult(input=best[1], report=best[2], power_budget=j, trace=tuple(trace))
 
 
 def _moved_input(input_dist, name, move):
@@ -369,14 +338,7 @@ class SupportVerdict:
     message: str
 
     def to_json(self):
-        return {
-            "passed": self.passed,
-            "gain_order": self.gain_order,
-            "n_positive": self.n_positive,
-            "n_negative": self.n_negative,
-            "n_zero": self.n_zero,
-            "message": self.message,
-        }
+        return asdict(self)
 
 
 def check_support_condition(input_dist, chan):

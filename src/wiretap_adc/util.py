@@ -1,6 +1,7 @@
-"""Small shared helpers: finiteness and power-budget checks, complex-number JSON coding."""
+"""Small shared helpers: number, integer and power-budget checks, complex-number JSON coding."""
 
 import math
+import numbers
 
 from .errors import ValidationError
 
@@ -9,6 +10,22 @@ def require_finite(name, value):
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return float(value)
+
+
+def require_number(name, value):
+    """A finite config number as a float: a JSON true would otherwise read as 1.0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return require_finite(name, value)
+
+
+def require_integer(name, value):
+    """value as an int: bools and numbers with a fractional part are refused."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def require_budget(power_budget):
@@ -26,14 +43,6 @@ def complex_to_json(z):
 def complex_from_json(obj, name="value"):
     """Accepts {"re":..,"im":..} or a bare number."""
     if isinstance(obj, dict):
-        try:
-            z = complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{name}: bad complex encoding {obj!r}") from exc
-    elif isinstance(obj, (int, float)):
-        z = complex(float(obj), 0.0)
-    else:
-        raise ValidationError(f"{name}: expected number or re/im object, got {obj!r}")
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValidationError(f"{name} must be finite, got {z!r}")
-    return z
+        re, im = (require_number(f"{name} {k}", obj.get(k, 0.0)) for k in ("re", "im"))
+        return complex(re, im)
+    return complex(require_number(name, obj), 0.0)

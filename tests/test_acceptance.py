@@ -532,6 +532,18 @@ def test_c10_kkt_residuals(kkt_problems):
     assert worst_compl <= 1e-9
 
 
+# sha256 over repr((input, report, trace)) of every C10 optimizer result
+C10_RESULTS_SHA256 = "4b75087c4518ef97b1a847810a224b307670747da530c0a4d1fc3af837777c3d"
+
+
+def test_c10_results_are_byte_identical_to_frozen_digest(kkt_problems):
+    for chan, _, result in kkt_problems:
+        # the whole report, as a fresh evaluation of the returned input gives it
+        assert secrecy_rate(chan, result.input) == result.report
+    reprs = [repr((result.input, result.report, result.trace)) for _, _, result in kkt_problems]
+    assert _results_sha256(reprs) == C10_RESULTS_SHA256
+
+
 def test_c10_optimizer_outputs_meet_the_budget(kkt_problems):
     # E[X^2] as DiscreteInput.power computes it, with no tolerance, for the
     # returned input and for the power each per-restart trace row records

@@ -151,6 +151,9 @@ class TestOptimize:
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
+        assert sorted(payload) == [
+            "input", "kkt_report", "power_budget", "rate_report", "seed", "support_verdict"
+        ]
         assert payload["seed"] == 9
         assert payload["kkt_report"]["grid_points"] == 2001
         assert payload["support_verdict"]["gain_order"] == "legit_weaker"
@@ -306,6 +309,60 @@ class TestConfigSections:
         cfg = self.write(tmp_path, **{section: value})
         assert main([command, "--config", cfg]) == 2
         assert f"unknown {section} options" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, sections, message",
+        [
+            ("optimize", {"J": True}, "J must be a number"),
+            ("optimize", {"J": 10**400}, "too large to convert to float"),
+            ("sweep", {"sweep": {"start": True}}, "sweep start must be a number"),
+            ("sweep", {"sweep": {"stop": True}}, "sweep stop must be a number"),
+            ("sweep", {"sweep": {"num": 2.9}}, "sweep num must be an integer"),
+            ("sweep", {"sweep": {"num": True}}, "sweep num must be an integer"),
+            ("verify", {"verify": {"seed": 1.7}}, "verify seed must be an integer"),
+            ("verify", {"verify": {"seed": True}}, "verify seed must be an integer"),
+            ("optimize", {"optimize": {"support_size": True}}, "support_size must be an integer"),
+            ("optimize", {"optimize": {"restarts": True}}, "restarts must be an integer"),
+            ("optimize", {"optimize": {"seed": 1.5}}, "seed must be an integer"),
+            ("optimize", {"optimize": {"max_iterations": 2.5}}, "max_iterations must be an int"),
+        ],
+    )
+    def test_numbers_refuse_bools_and_fractions(self, tmp_path, capsys, command, sections, message):
+        # a valid config but for the one field under test
+        sweep = {"axis": "b", "start": 1.0, "stop": 3.0, "num": 3, **sections.get("sweep", {})}
+        cfg = write_config(
+            tmp_path, channel=worked_channel().to_json(), **{"J": 4.0, **sections, "sweep": sweep}
+        )
+        assert main([command, "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            (("channel", "w1"), "w1 must be a number"),
+            (("channel", "w2", "re"), "w2 re must be a number"),
+            (("channel", "legit_adc", "real", "thresholds", 0), "thresholds must be a number"),
+            (("channel", "eave_adc", "imag", "outputs", 1), "outputs must be a number"),
+            (("input", "points", 0), "point must be a number"),
+            (("input", "probs", 1), "probs must be a number"),
+        ],
+    )
+    def test_channel_and_input_numbers_refuse_bools(self, tmp_path, capsys, path, message):
+        dist = DiscreteInput((0.0, 2.0), (0.0, 1.0))  # a true prob would read as 1.0
+        sections = {"channel": worked_channel().to_json(), "input": dist.to_json()}
+        *parents, leaf = path
+        node = sections
+        for key in parents:
+            node = node[key]
+        node[leaf] = True
+        assert main(["rate", "--config", write_config(tmp_path, **sections)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_integral_float_counts_read_as_ints(self, tmp_path, capsys):
+        sweep = {"axis": "b", "start": 1.0, "stop": 3.0, "num": 3.0}
+        cfg = write_config(tmp_path, channel=worked_channel().to_json(), sweep=sweep)
+        assert main(["sweep", "--config", cfg]) == 0
+        assert len(json.loads(capsys.readouterr().out)["rows"]) == 3
 
     def test_verify_suites_must_be_a_list(self, tmp_path, capsys):
         cfg = self.write(tmp_path, verify={"suites": "kkt"})

@@ -295,6 +295,8 @@ def test_discrete_input_validation():
         DiscreteInput((1.0, 2.0), (0.6, 0.6))       # bad normalization
     with pytest.raises(ValidationError):
         DiscreteInput((1.0, 2.0), (-0.1, 1.1))      # negative mass
+    with pytest.raises(ValidationError, match="nonnegative"):
+        DiscreteInput((1.0, 2.0), (float("nan"), 1.0))  # NaN passes the sum check
     with pytest.raises(ValidationError):
         DiscreteInput((float("inf"),), (1.0,))
 

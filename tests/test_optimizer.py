@@ -180,6 +180,21 @@ def test_config_validation():
         OptimizeConfig(restarts=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("support_size", 2.5), ("restarts", True), ("seed", True), ("max_iterations", 1.5)],
+)
+def test_config_refuses_bools_and_fractions(field, value):
+    with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+        OptimizeConfig(**{field: value})
+
+
+def test_config_reads_integral_floats_as_ints():
+    config = OptimizeConfig(support_size=3.0, restarts=2.0, seed=7.0, max_iterations=5.0)
+    assert {type(v) for v in vars(config).values()} == {int}
+    assert config == OptimizeConfig(support_size=3, restarts=2, seed=7, max_iterations=5)
+
+
 def test_fold_input_merges_magnitudes_exactly():
     dist = DiscreteInput((-1.5, -0.25, 0.25, 2.0), (0.1, 0.2, 0.3, 0.4))
     folded = fold_input(dist)
