@@ -8,6 +8,7 @@ evaluate their grid in order, so one config gives the same bytes every run.
 """
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -259,16 +260,17 @@ def cmd_sweep(args):
     if axis == "b":
         result = achieve(chan, options)
         if chan.mode == "complex":
-            import cmath
-
-            unit = cmath.rect(1.0, result.capital_phi)
+            unit = far_unit = cmath.rect(1.0, result.capital_phi)
+            if result.ray is None:
+                # a split pair's far point lies half a quarter-turn past the a-point's ray
+                far_unit = cmath.rect(1.0, result.capital_phi + math.pi / 4.0)
         else:
-            unit = 1.0
+            unit = far_unit = 1.0
         sign = 1.0 if result.b >= 0.0 else -1.0
         near = complex(result.a * unit) + result.translation
 
         def run_one(val):
-            far = complex(sign * val * unit) + result.translation
+            far = complex(sign * val * far_unit) + result.translation
             if far == near:
                 return (val, 0.0, 0.0, 0.0, result.limit_rate)
             i1, i2 = _rate_arrays(chan, (near, far), (result.phi, 1.0 - result.phi))

@@ -7,14 +7,17 @@ from .errors import ValidationError
 
 
 def require_finite(name, value):
+    """value as a float; a bool is refused rather than read as 0.0 or 1.0."""
+    if type(value) is bool:
+        raise ValidationError(f"{name} must be a number, got {value!r}")
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return float(value)
 
 
 def require_number(name, value):
-    """A finite config number as a float: a JSON true would otherwise read as 1.0."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    """A finite config number as a float; strings, nulls and bools are refused."""
+    if not isinstance(value, numbers.Real):
         raise ValidationError(f"{name} must be a number, got {value!r}")
     return require_finite(name, value)
 

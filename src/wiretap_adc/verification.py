@@ -1,12 +1,15 @@
 """Self-check suites exercising the library's analytic identities.
 
-Each suite draws its own seeded cases, checks one family of claims (Z-rate
-monotonicity, entropy identities, folding behaviour, construction
-positivity, limit convergence, closed forms, oracle equivalence, support
-conditions, KKT residuals), and reports a worst-case margin.  The default
-case distributions are deliberately benign: moderate gain gaps, few
-quantizer levels, and thresholds well inside the noise scale, so a healthy
-build passes every suite.
+SUITES holds one row per suite: its name, the suite, its pass rule and a
+one-line detail.  Each suite draws its own seeded cases, checks one family of
+claims (Z-rate monotonicity, entropy identities, folding behaviour,
+construction positivity, limit convergence, closed forms, oracle
+equivalence, support conditions, KKT residuals), and returns (worst, cases):
+a worst-case margin and the number of cases checked.  The row's rule reads
+those two numbers and decides pass or fail.  The default case distributions
+are deliberately benign: moderate gain gaps, few quantizer levels, and
+thresholds well inside the noise scale, so a healthy build passes every
+suite.
 
 The CLI's verify subcommand runs all suites and maps any failure to a
 non-zero exit code.
@@ -14,7 +17,7 @@ non-zero exit code.
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -55,13 +58,7 @@ class SuiteResult:
     cases: int
 
     def to_json(self):
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "worst": self.worst,
-            "detail": self.detail,
-            "cases": self.cases,
-        }
+        return asdict(self)
 
 
 def _random_adc_spec(rng):
@@ -106,19 +103,18 @@ def _safe_channel(rng, mode):
     return WiretapChannel(w1=w1, w2=w2, legit_adc=legit, eave_adc=_random_pair(rng), mode=mode)
 
 
+def _one_bit_channel(w1, w2, mode):
+    return WiretapChannel(w1=w1, w2=w2, legit_adc=one_bit_pair(), eave_adc=one_bit_pair(),
+                          mode=mode)
+
+
 def _one_bit_real_channel(rng, legit_weaker):
     m1, m2 = _random_gains(rng, gap_low=0.1, gap_high=1.5)
     if legit_weaker != (m1 < m2):
         m1, m2 = m2, m1
     s1 = 1.0 if rng.integers(0, 2) else -1.0
     s2 = 1.0 if rng.integers(0, 2) else -1.0
-    return WiretapChannel(
-        w1=ComplexGain(s1 * m1),
-        w2=ComplexGain(s2 * m2),
-        legit_adc=one_bit_pair(),
-        eave_adc=one_bit_pair(),
-        mode="real",
-    )
+    return _one_bit_channel(ComplexGain(s1 * m1), ComplexGain(s2 * m2), "real")
 
 
 def _random_real_input(rng, mixed):
@@ -151,13 +147,7 @@ def _suite_z_rate_monotone(rng):
         for lo, hi in zip(vals[:-1], vals[1:]):
             worst = min(worst, lo - hi)
             cases += 1
-    return SuiteResult(
-        name="z_rate_monotone",
-        passed=worst > 0.0,
-        worst=worst,
-        detail="min decrease of the Z-channel rate over consecutive crossovers",
-        cases=cases,
-    )
+    return worst, cases
 
 
 def _suite_entropy_identity(rng):
@@ -172,13 +162,7 @@ def _suite_entropy_identity(rng):
         worst = max(worst, abs(z_rate(float(phi), 0.0) - binary_entropy(float(phi))))
         worst = max(worst, abs(z_rate(float(phi), 1.0)))
         cases += 2
-    return SuiteResult(
-        name="entropy_identity",
-        passed=worst <= 1e-12,
-        worst=worst,
-        detail="binary entropy symmetry and Z-rate endpoint identities",
-        cases=cases,
-    )
+    return worst, cases
 
 
 def _suite_entropy_gap_monotone(rng):
@@ -201,13 +185,7 @@ def _suite_entropy_gap_monotone(rng):
         for lo, hi in zip(vals[:-1], vals[1:]):
             worst = min(worst, lo - hi)  # decreasing in d
             cases += 1
-    return SuiteResult(
-        name="entropy_gap_monotone",
-        passed=worst > 0.0,
-        worst=worst,
-        detail="strict monotonicity of h(c-d) - h(c+d) in c and d",
-        cases=cases,
-    )
+    return worst, cases
 
 
 def _suite_fold_conditional_entropy(rng):
@@ -229,13 +207,7 @@ def _suite_fold_conditional_entropy(rng):
         )
         worst = max(worst, abs(f - direct))
         cases += 1
-    return SuiteResult(
-        name="fold_conditional_entropy",
-        passed=worst <= 1e-12,
-        worst=worst,
-        detail="folding half-sum/half-difference identities and F consistency",
-        cases=cases,
-    )
+    return worst, cases
 
 
 def _suite_folding_gap_signs(rng):
@@ -252,13 +224,7 @@ def _suite_folding_gap_signs(rng):
             gap0 = optimizer_mod.folding_gap(chan, single)
             worst = min(worst, 1e-10 - abs(gap0))
             cases += 2
-    return SuiteResult(
-        name="folding_gap_signs",
-        passed=worst >= 0.0,
-        worst=worst,
-        detail="folding gap sign per gain ordering; zero gap on single-signed supports",
-        cases=cases,
-    )
+    return worst, cases
 
 
 def _suite_construction_positivity(rng):
@@ -270,13 +236,7 @@ def _suite_construction_positivity(rng):
             result = achieve(chan)
             worst = min(worst, result.exact_rate.rs)
             cases += 1
-    return SuiteResult(
-        name="construction_positivity",
-        passed=worst > 1e-9,
-        worst=worst,
-        detail="achieved exact secrecy rate above the rate floor",
-        cases=cases,
-    )
+    return worst, cases
 
 
 def _convergence_threshold(chan, result):
@@ -325,13 +285,7 @@ def _suite_limit_convergence(rng):
             continue
         worst = max(worst, dev)
         cases += 1
-    return SuiteResult(
-        name="limit_convergence",
-        passed=cases > 0 and worst <= 1e-6,
-        worst=worst,
-        detail="exact rate vs Z-channel limit on far schedule amplitudes",
-        cases=cases,
-    )
+    return worst, cases
 
 
 def _suite_qpsk(rng):
@@ -341,23 +295,12 @@ def _suite_qpsk(rng):
         m2 = float(rng.uniform(0.1, 1.0))
         m1 = m2 + float(rng.uniform(0.3, 2.0))
         a1, a2 = rng.uniform(-math.pi, math.pi, 2)
-        chan = WiretapChannel(
-            w1=ComplexGain(m1 * math.cos(a1), m1 * math.sin(a1)),
-            w2=ComplexGain(m2 * math.cos(a2), m2 * math.sin(a2)),
-            legit_adc=one_bit_pair(),
-            eave_adc=one_bit_pair(),
-            mode="complex",
-        )
+        chan = _one_bit_channel(ComplexGain(m1 * math.cos(a1), m1 * math.sin(a1)),
+                                ComplexGain(m2 * math.cos(a2), m2 * math.sin(a2)), "complex")
         res = qpsk_bound(chan, float(rng.uniform(0.5, 4.0)))
         worst = min(worst, res.rs - (res.bound - 1e-10), res.bound)
         cases += 1
-    return SuiteResult(
-        name="qpsk",
-        passed=worst > 0.0,
-        worst=worst,
-        detail="QPSK exact rate above its closed-form bound; bound positive",
-        cases=cases,
-    )
+    return worst, cases
 
 
 def _suite_closed_forms(rng):
@@ -367,37 +310,18 @@ def _suite_closed_forms(rng):
         w = float(rng.uniform(0.2, 2.5))
         j = float(rng.uniform(0.3, 4.0))
         root = math.sqrt(j)
-        chan = WiretapChannel(
-            w1=ComplexGain(w),
-            w2=ComplexGain(w + 1.0),
-            legit_adc=one_bit_pair(),
-            eave_adc=one_bit_pair(),
-            mode="real",
-        )
+        chan = _one_bit_channel(ComplexGain(w), ComplexGain(w + 1.0), "real")
         bpsk = DiscreteInput((complex(-root), complex(root)), (0.5, 0.5))
         report = secrecy_rate(chan, bpsk)
         closed = 1.0 - binary_entropy(q_function(w * root))
         worst = max(worst, abs(report.i1 - closed))
         cases += 1
 
-        chan_c = WiretapChannel(
-            w1=ComplexGain(w),
-            w2=ComplexGain(0.0, w + 1.0),
-            legit_adc=one_bit_pair(),
-            eave_adc=one_bit_pair(),
-            mode="complex",
-        )
-        res = qpsk_bound(chan_c, j)
+        res = qpsk_bound(_one_bit_channel(ComplexGain(w), ComplexGain(0.0, w + 1.0), "complex"), j)
         closed_c = 2.0 * (1.0 - binary_entropy(q_function(w * math.sqrt(j / 2.0))))
         worst = max(worst, abs(res.i1 - closed_c))
         cases += 1
-    return SuiteResult(
-        name="closed_forms",
-        passed=worst <= 1e-12,
-        worst=worst,
-        detail="BPSK and aligned-QPSK one-bit rates vs closed forms",
-        cases=cases,
-    )
+    return worst, cases
 
 
 def _brute_force_mi(probs, rows):
@@ -440,13 +364,7 @@ def _suite_mi_oracle(rng):
             mean_density = math.fsum(p * d for p, d in zip(dist.probs, densities))
             worst = max(worst, abs(mean_density - mi))
             cases += 1
-    return SuiteResult(
-        name="mi_oracle",
-        passed=cases > 0 and worst <= 1e-12,
-        worst=worst,
-        detail="library MI vs brute-force double sum; density expectation identity",
-        cases=cases,
-    )
+    return worst, cases
 
 
 def _suite_support_condition(rng):
@@ -469,13 +387,7 @@ def _suite_support_condition(rng):
                 )
                 continue
             hard_failures += 1
-    return SuiteResult(
-        name="support_condition",
-        passed=hard_failures == 0,
-        worst=float(hard_failures),
-        detail="optimizer supports match the gain-ordering sign pattern (soft)",
-        cases=cases,
-    )
+    return float(hard_failures), cases
 
 
 def _escapes_by_folding(chan, result):
@@ -499,44 +411,58 @@ def _suite_kkt(rng):
         if report.slackness_residual > 1e-9:
             worst = max(worst, 1.0)
         cases += 1
-    return SuiteResult(
-        name="kkt",
-        passed=worst <= 1e-3,
-        worst=worst,
-        detail="KKT stationarity residuals on optimizer outputs",
-        cases=cases,
-    )
+    return worst, cases
 
 
+# (name, suite(rng) -> (worst, cases), passes(worst, cases), detail)
 SUITES = (
-    ("z_rate_monotone", _suite_z_rate_monotone),
-    ("entropy_identity", _suite_entropy_identity),
-    ("entropy_gap_monotone", _suite_entropy_gap_monotone),
-    ("fold_conditional_entropy", _suite_fold_conditional_entropy),
-    ("folding_gap_signs", _suite_folding_gap_signs),
-    ("construction_positivity", _suite_construction_positivity),
-    ("limit_convergence", _suite_limit_convergence),
-    ("qpsk", _suite_qpsk),
-    ("closed_forms", _suite_closed_forms),
-    ("mi_oracle", _suite_mi_oracle),
-    ("support_condition", _suite_support_condition),
-    ("kkt", _suite_kkt),
+    ("z_rate_monotone", _suite_z_rate_monotone, lambda worst, cases: worst > 0.0,
+     "min decrease of the Z-channel rate over consecutive crossovers"),
+    ("entropy_identity", _suite_entropy_identity, lambda worst, cases: worst <= 1e-12,
+     "binary entropy symmetry and Z-rate endpoint identities"),
+    ("entropy_gap_monotone", _suite_entropy_gap_monotone, lambda worst, cases: worst > 0.0,
+     "strict monotonicity of h(c-d) - h(c+d) in c and d"),
+    ("fold_conditional_entropy", _suite_fold_conditional_entropy,
+     lambda worst, cases: worst <= 1e-12,
+     "folding half-sum/half-difference identities and F consistency"),
+    ("folding_gap_signs", _suite_folding_gap_signs, lambda worst, cases: worst >= 0.0,
+     "folding gap sign per gain ordering; zero gap on single-signed supports"),
+    ("construction_positivity", _suite_construction_positivity,
+     lambda worst, cases: worst > 1e-9, "achieved exact secrecy rate above the rate floor"),
+    ("limit_convergence", _suite_limit_convergence,
+     lambda worst, cases: cases > 0 and worst <= 1e-6,
+     "exact rate vs Z-channel limit on far schedule amplitudes"),
+    ("qpsk", _suite_qpsk, lambda worst, cases: worst > 0.0,
+     "QPSK exact rate above its closed-form bound; bound positive"),
+    ("closed_forms", _suite_closed_forms, lambda worst, cases: worst <= 1e-12,
+     "BPSK and aligned-QPSK one-bit rates vs closed forms"),
+    ("mi_oracle", _suite_mi_oracle, lambda worst, cases: cases > 0 and worst <= 1e-12,
+     "library MI vs brute-force double sum; density expectation identity"),
+    # worst counts the hard failures
+    ("support_condition", _suite_support_condition, lambda worst, cases: worst == 0.0,
+     "optimizer supports match the gain-ordering sign pattern (soft)"),
+    ("kkt", _suite_kkt, lambda worst, cases: worst <= 1e-3,
+     "KKT stationarity residuals on optimizer outputs"),
 )
 
 
 def run_verification(seed=0, names=None):
-    """Run the named suites (default: all) with per-suite seeded randomness."""
-    wanted = None if names is None else set(names)
-    if wanted == set():
+    """Run the named suites (default: all) in table order; suite i draws from [seed, i].
+
+    The names are checked before any suite runs.
+    """
+    if isinstance(names, str):
+        raise ValidationError(f"verification suites must be a collection of names, got {names!r}")
+    known = [name for name, *_ in SUITES]
+    wanted = set(known if names is None else names)
+    if not wanted:
         raise ValidationError("no verification suites selected")
+    unknown = wanted.difference(known)
+    if unknown:
+        raise ValidationError(f"unknown verification suites: {sorted(unknown)}")
     results = []
-    for index, (name, fn) in enumerate(SUITES):
-        if wanted is not None and name not in wanted:
-            continue
-        rng = np.random.default_rng([seed, index])
-        results.append(fn(rng))
-    if wanted is not None:
-        missing = wanted - {r.name for r in results}
-        if missing:
-            raise ValidationError(f"unknown verification suites: {sorted(missing)}")
+    for index, (name, suite, passes, detail) in enumerate(SUITES):
+        if name in wanted:
+            worst, cases = suite(np.random.default_rng([seed, index]))
+            results.append(SuiteResult(name, passes(worst, cases), worst, detail, cases))
     return results

@@ -13,11 +13,16 @@ from wiretap_adc import (
     AdcSpec,
     ComplexAdcPair,
     ComplexGain,
+    DiscreteInput,
     ValidationError,
     WiretapChannel,
+    achieve,
+    folding_functions,
+    kkt_check,
     one_bit,
     one_bit_pair,
     q_function,
+    shift_thresholds,
     transition_row,
     transition_rows,
 )
@@ -260,6 +265,28 @@ def test_transition_rows_rejects_non_finite_inputs(mode, xs):
     chan = make_channel(mode=mode)
     with pytest.raises(ValidationError, match="finite"):
         transition_rows(chan, "legit", xs)
+
+
+BPSK = DiscreteInput((-1.0, 1.0), (0.5, 0.5))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ComplexGain(True),
+        lambda: kkt_check(make_channel(), BPSK, True),
+        lambda: achieve(make_channel(), power_budget=True),
+        lambda: q_function(True),
+        lambda: shift_thresholds(one_bit(), True),
+        lambda: folding_functions(BPSK, True),
+    ],
+    ids=["ComplexGain", "kkt_check", "achieve", "q_function", "shift_thresholds",
+         "folding_functions"],
+)
+def test_numbers_refuse_bools(call):
+    # bool is an int subclass: True would otherwise read as 1.0
+    with pytest.raises(ValidationError, match="must be a number"):
+        call()
 
 
 def test_real_mode_rejects_complex_inputs_and_gains():

@@ -7,14 +7,17 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from helpers import criterion1_channel
 from wiretap_adc import (
     AdcSpec,
     ComplexAdcPair,
     ComplexGain,
     DiscreteInput,
     WiretapChannel,
+    achieve,
     one_bit,
     one_bit_pair,
 )
@@ -232,6 +235,21 @@ class TestSweep:
         # larger far points approach the Z-channel limit from below
         last = payload["rows"][-1]
         assert abs(last[3] - last[4]) < abs(payload["rows"][0][3] - last[4])
+
+    def test_split_pair_far_point_keeps_its_own_ray(self, tmp_path, capsys):
+        # C1 complex config 28 ends in a split pair: its far point lies half a
+        # quarter-turn past the a-point's ray, so at |b| the sweep is the result
+        chan = criterion1_channel(np.random.default_rng([1, 1, 28]), "complex")
+        result = achieve(chan)
+        assert result.ray is None
+        b = abs(result.b)
+        sweep = {"axis": "b", "start": b, "stop": b, "num": 1}
+        cfg = write_config(tmp_path, channel=chan.to_json(), sweep=sweep)
+        assert main(["sweep", "--config", cfg]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row[0] == b
+        assert row[1] == pytest.approx(result.exact_rate.i1, rel=0.0, abs=1e-12)
+        assert row[2] == pytest.approx(result.exact_rate.i2, rel=0.0, abs=1e-12)
 
     def test_budget_axis_csv(self, tmp_path, capsys):
         cfg = write_config(

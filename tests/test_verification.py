@@ -26,7 +26,7 @@ EXPECTED_SUITES = (
 
 
 def test_registry_names_are_frozen():
-    assert tuple(name for name, _ in verification.SUITES) == EXPECTED_SUITES
+    assert tuple(name for name, *_ in verification.SUITES) == EXPECTED_SUITES
 
 
 def test_subset_run_and_result_shape():
@@ -43,6 +43,18 @@ def test_subset_run_and_result_shape():
 def test_unknown_suite_name_rejected():
     with pytest.raises(ValidationError):
         verification.run_verification(names=["closed_forms", "spectral"])
+
+
+def test_names_are_checked_before_any_suite_runs(monkeypatch):
+    def ran(*args):
+        raise AssertionError("closed_forms ran before the names were checked")
+
+    monkeypatch.setattr(verification, "qpsk_bound", ran)
+    with pytest.raises(ValidationError, match="spectral"):
+        verification.run_verification(names=["closed_forms", "spectral"])
+    # a bare string is not a list of one name
+    with pytest.raises(ValidationError):
+        verification.run_verification(names="kkt")
 
 
 def test_same_seed_same_worst():
