@@ -25,17 +25,23 @@ once a stage ends with it above the floor.
 
 One scan loop.  Every stage is a list of scans, each a stream of pairs with
 the phis its steps read and the number of phis per step.  The scan builds each
-chunk of pairs (both receivers' rows of its new points, one _cells call),
-scores it (one kernel call per receiver, at all the scan's phis) and then
-walks the chunk's rates in stream order.  Far schedules stop where both limit
-cells read 1.0, worked out from the thresholds.
+chunk of pairs (both receivers' rows of its new points, one _cells call over
+the edge layout the construction derives once), scores it (one kernel call per
+receiver, at all the scan's phis) and then walks the chunk's rates in stream
+order.  With the trace off, a pair whose largest rate is at most RATE_FLOOR
+and below the running best can neither hit nor lead: it only adds its
+evaluations and is not walked.  Far schedules stop at the ray's saturation
+amplitude, where both limit cells read 1.0; it comes from the thresholds once
+per direction, as do the direction's limit cells.
 """
 
 import cmath
 import math
 from dataclasses import dataclass, replace
 from itertools import chain, islice
+from operator import sub
 
+import numpy as np
 from scipy.special import ndtri
 
 from . import channel as channel_mod
@@ -306,21 +312,35 @@ class _Sweep:
         self.trace = [] if options.keep_trace else None
         self.best = None  # (rs, (sort amplitude, phi), candidate)
         self.evaluations = 0
-        self._rows, self._cells = {}, {}  # by point, by direction
+        self._rows, self._cells, self._saturation = {}, {}, {}  # by point, by direction
+        self._layout = channel_mod._edge_layout(
+            channel_mod._receiver_specs(chan, channel_mod.RECEIVERS))
 
     def build(self, points):
         """Rows of the points not met yet at both receivers, from one _cells call."""
         new = list(dict.fromkeys(p for p in points if p not in self._rows))
         if new:
-            rows = channel_mod._rows(self.chan, channel_mod.RECEIVERS, new)
+            rows = channel_mod._rows(self.chan, channel_mod.RECEIVERS, new, layout=self._layout)
             self._rows.update(zip(new, zip(*rows)))
+
+    def limit_cells(self, direction):
+        """The direction's (legit, eave) limit cells, worked out once."""
+        if direction not in self._cells:
+            self._cells[direction] = _limit_cell_indices(self.chan, direction)
+        return self._cells[direction]
+
+    def saturation(self, direction):
+        """The direction's _saturation_amplitude, worked out once."""
+        if direction not in self._saturation:
+            self._saturation[direction] = _saturation_amplitude(self.chan, direction)
+        return self._saturation[direction]
 
     def limit_mass(self, direction, point):
         """(legit, eave) mass of the point's rows in the limit cells: a near point's (p1, p2)."""
-        if direction not in self._cells:
-            self._cells[direction] = _limit_cell_indices(self.chan, direction)
-        self.build((point,))
-        (idx1, idx2), (row1, row2) = self._cells[direction], self._rows[point]
+        idx1, idx2 = self.limit_cells(direction)
+        if point not in self._rows:
+            self.build((point,))
+        row1, row2 = self._rows[point]
         return float(row1[idx1]), float(row2[idx2])
 
     def scan(self, pairs, phis, width):
@@ -328,10 +348,11 @@ class _Sweep:
 
         pairs yields (near, far, limit direction, sort amplitude, meta), built
         and scored in chunks of 2, 4, 8, then _BATCH_PAIRS; the near point's
-        mass in the limit direction's cells gives p1 and p2.  Returns the
-        "first"-mode hit (module docstring) or None.
+        mass in the limit direction's cells gives p1 and p2.  With the trace
+        off, a pair that can neither hit nor lead (module docstring) is not
+        walked.  Returns the "first"-mode hit (module docstring) or None.
         """
-        laws = [(phi, 1.0 - phi) for phi in phis]
+        laws = np.array([(phi, 1.0 - phi) for phi in phis])
         steps = [range(k, k + width) for k in range(0, len(phis), width)]
         pairs, size = iter(pairs), 2
         while chunk := list(islice(pairs, size)):
@@ -340,6 +361,12 @@ class _Sweep:
             rates = _rates_from_rows(laws, [[(self._rows[near][r], self._rows[far][r])
                                              for near, far, *_ in chunk] for r in (0, 1)])
             for (near, far, limit_dir, amp, meta), (i1s, i2s) in zip(chunk, rates):
+                if self.trace is None and self.best is not None:
+                    top = max(map(sub, i1s, i2s))
+                    if top <= RATE_FLOOR and top < self.best[0]:
+                        self.limit_cells(limit_dir)  # a ray along an axis still raises here
+                        self.evaluations += len(phis)
+                        continue
                 p1, p2 = self.limit_mass(limit_dir, near)
                 meta = {**meta, "p1": p1, "p2": p2}
                 for step in steps:
@@ -365,17 +392,24 @@ class _Sweep:
         return None
 
 
-def _far_points(chan, near_amp, direction):
-    """[(far_amp, far point)] at max(|near_amp|, 1) * 2^k along direction, k <= _MAX_DOUBLINGS.
+def _saturation_amplitude(chan, direction):
+    """Amplitude along direction from which both receivers' limit cells read 1.0.
 
-    Ends at the first far point where every limit-cell axis of both receivers
-    clears _SATURATION_OFFSET, so that both limit cells read 1.0.
+    There every limit-cell axis of both receivers clears _SATURATION_OFFSET.
     """
     axes = [axis for r in channel_mod.RECEIVERS for axis in _ray_axes(chan, r, direction)]
     if any(drift == 0.0 for drift, _ in axes):
         raise ValidationError("ray drifts along a quantizer axis; no limit cell")
-    saturated = max((_SATURATION_OFFSET + (s.thresholds[-1] if d > 0.0 else -s.thresholds[0]))
-                    / abs(d) for d, s in axes)
+    return max((_SATURATION_OFFSET + (s.thresholds[-1] if d > 0.0 else -s.thresholds[0]))
+               / abs(d) for d, s in axes)
+
+
+def _far_points(near_amp, direction, saturated):
+    """[(far_amp, far point)] at max(|near_amp|, 1) * 2^k along direction, k <= _MAX_DOUBLINGS.
+
+    Ends at the first far point at or past saturated, the direction's
+    _saturation_amplitude.
+    """
     base = max(abs(near_amp), 1.0)
     k = next((k for k in range(_MAX_DOUBLINGS) if base * 2.0**k >= saturated), _MAX_DOUBLINGS)
     return [(base * 2.0**j, complex(base * 2.0**j * direction)) for j in range(k + 1)]
@@ -424,12 +458,12 @@ def construct_positive_rate(chan, options=None):
     alignment = None if chan.mode == "real" else align_phase(chan.w1, chan.w2)
     theta, line_angle, ray = (None, 0.0, None) if alignment is None else (
         alignment.theta, alignment.capital_phi, 0)
-    canonical = _ray_pairs(chan, [choose_amplitude(chan, theta)],
+    canonical = _ray_pairs(sweep, [choose_amplitude(chan, theta)],
                            _canonical_direction(chan, theta), line_angle, ray, "limit")
 
     # lists of scans (pairs, phis, phis per step); the extended rays are worked out lazily
     stages = [("canonical", [(canonical, PHI_GRID, len(PHI_GRID))]),
-              ("extended", _extended_scans(chan, alignment))]
+              ("extended", _extended_scans(sweep, alignment))]
     if chan.mode == "complex" and theta < math.pi / 4.0:
         stages.append(("split_pair", [(_split_pairs(chan, alignment), PHI_GRID, 1)]))
     stage_evaluations = {}
@@ -492,20 +526,21 @@ def _result(chan, alignment, candidate, trace):
     )
 
 
-def _ray_pairs(chan, near_amps, direction, line_angle, ray, regime):
+def _ray_pairs(sweep, near_amps, direction, line_angle, ray, regime):
     """Each near amplitude's pairs along its far schedule, sorted by far amplitude.
 
     A near amplitude of 1 or more is its schedule's first far point: that pair is skipped.
     """
     meta = {"ray": ray, "line_angle": line_angle, "regime": regime}
+    saturated = sweep.saturation(direction)
     for near_amp in near_amps:
         near = complex(near_amp * direction)
-        for far_amp, far in _far_points(chan, near_amp, direction):
+        for far_amp, far in _far_points(near_amp, direction, saturated):
             if far != near:
                 yield near, far, direction, far_amp, meta
 
 
-def _extended_scans(chan, alignment):
+def _extended_scans(sweep, alignment):
     """Deterministic fallback scans beyond the canonical margin rule.
 
     First alternative near amplitudes rerun the far schedule on each
@@ -515,6 +550,7 @@ def _extended_scans(chan, alignment):
     (0.5, 0.3, 0.7) order, which covers eavesdropper-pinning inputs the
     schedule cannot reach.
     """
+    chan = sweep.chan
     s = chan.w2.magnitude - chan.w1.magnitude
     if chan.mode == "complex":
         base = alignment.capital_phi
@@ -532,7 +568,7 @@ def _extended_scans(chan, alignment):
         amps.extend(sorted(_ray_threshold_riders(chan, direction), key=lambda v: (abs(v), v)))
         amps.append(0.0)
         amps = list(dict.fromkeys(amp for amp in amps if math.isfinite(amp)))
-        ray_pairs.append(_ray_pairs(chan, amps, direction, line_angle, ray, "searched"))
+        ray_pairs.append(_ray_pairs(sweep, amps, direction, line_angle, ray, "searched"))
 
     yield chain(*ray_pairs), PHI_GRID, len(PHI_GRID)
     yield _riding_pairs(chan, lines), (0.5, 0.3, 0.7), 1

@@ -5,11 +5,18 @@ complex gain plus Gaussian noise with per-component variance 1 (this
 normalization is hard-coded; other variances are expressed by rescaling gains
 and thresholds).  Each component is quantized independently, and joint
 outputs are enumerated as (real cell index) * k_I + (imag cell index).
+
+The cells of several ADCs side by side come from one _cells call over their
+edge layout (_edge_layout): the edge array, each ADC's edge count, the cell
+columns kept and each ADC's block of them.  A layout depends only on the ADCs,
+so a caller that builds rows of one channel again and again (a construction)
+derives it once and passes it to _rows.
 """
 
 import logging
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import ndtr
@@ -124,24 +131,45 @@ def q_function(x):
     return float(ndtr(-x))
 
 
-def _edge_offsets(specs, means):
-    """Edges (-inf, thresholds, +inf) of the ADCs in specs side by side, and edge - mean."""
+@dataclass(frozen=True, slots=True)
+class _EdgeLayout:
+    """What _cells and _rows read of ADCs side by side, derived from their specs alone."""
+
+    edges: np.ndarray  # (-inf, thresholds, +inf) of each ADC in turn
+    repeats: np.ndarray  # each ADC's edge count: how often its mean repeats
+    kept: np.ndarray  # the cell columns left once the gaps (+inf, -inf) between ADCs go
+    blocks: tuple  # (start, end) of each ADC's cells among the kept columns
+
+
+def _edge_layout(specs):
+    """The _EdgeLayout of the ADCs in specs side by side."""
     edges = np.array([e for spec in specs for e in (-np.inf, *spec.thresholds, np.inf)])
-    m = np.repeat(np.asarray(means, dtype=float), [spec.levels + 1 for spec in specs], axis=1)
-    return edges, np.subtract(edges, m, out=m)
+    ends = list(accumulate(spec.levels for spec in specs))
+    return _EdgeLayout(
+        edges=edges,
+        repeats=np.array([spec.levels + 1 for spec in specs]),
+        kept=np.flatnonzero(edges[:-1] != np.inf),
+        blocks=tuple(zip([0, *ends], ends)),
+    )
 
 
-def _cells(specs, means):
+def _edge_offsets(layout, means):
+    """edge - mean for each edge of the layout, the mean being its ADC's column of means."""
+    m = np.repeat(np.asarray(means, dtype=float), layout.repeats, axis=1)
+    return np.subtract(layout.edges, m, out=m)
+
+
+def _cells(layout, means):
     """Probability of each cell for Gaussian(mean, 1) samples; stable in the tails.
 
-    Row i holds the cells of every ADC in specs side by side, those of specs[j]
-    for mean means[i, j].  With one tail per edge, t = ndtr(-|edge - mean|), cell
+    Row i holds the cells of every ADC of the layout side by side, those of the
+    j-th for mean means[i, j].  With one tail per edge, t = ndtr(-|edge - mean|), cell
     (lo, hi) is t_lo - t_hi, overwritten where hi <= mean (never also lo >= mean)
     by t_hi - t_lo, formed afresh (a negation turns 0 into -0.0), and where
     lo < mean < hi by 1 - t_lo - t_hi: no difference cancels, no cell exceeds 1, and
     each reads a tail only where it is ndtr(mean - edge) or ndtr(edge - mean) bit for bit.
     """
-    edges, offsets = _edge_offsets(specs, means)
+    offsets = _edge_offsets(layout, means)
     t, d = ndtr(np.copysign(offsets, -1.0)).ravel(), offsets.ravel()  # flat: row ends add a gap
     below = d <= 0.0
     straddle = np.flatnonzero((d[:-1] < 0.0) & ~below[1:])
@@ -149,7 +177,7 @@ def _cells(specs, means):
     np.subtract(t[1:], t[:-1], out=out, where=below[1:])
     out[straddle] = 1.0 - t[straddle] - t[straddle + 1]
     # drop the gap cells (+inf, -inf); take keeps the rows C-ordered
-    out = np.take(d.reshape(offsets.shape), np.flatnonzero(edges[:-1] != np.inf), axis=1)
+    out = np.take(d.reshape(offsets.shape), layout.kept, axis=1)
     if logger.isEnabledFor(logging.DEBUG):
         tiny = np.count_nonzero((out > 0.0) & (out < UNDERFLOW_FLOOR))
         if tiny:
@@ -161,7 +189,7 @@ def _cells(specs, means):
 def _cell_slopes(channel, receiver, xs):
     """d/dx of each real-mode transition_rows entry: gain * (phi(lo - w x) - phi(hi - w x))."""
     w = channel.gain_for(receiver).re
-    _, d = _edge_offsets((channel.adc_for(receiver).real_part,), np.outer(xs, w))
+    d = _edge_offsets(_edge_layout((channel.adc_for(receiver).real_part,)), np.outer(xs, w))
     pdf = np.exp(-0.5 * d**2)
     return w * (pdf[:, :-1] - pdf[:, 1:]) / math.sqrt(2.0 * math.pi)
 
@@ -182,32 +210,39 @@ def transition_rows(channel, receiver, xs):
     return _rows(channel, (receiver,), xs)[0]
 
 
-def _rows(channel, receivers, xs):
+def _receiver_specs(channel, receivers):
+    """The ADCs _rows quantizes for the receivers: each real part, then (complex) imaginary part."""
+    pairs = [channel.adc_for(receiver) for receiver in receivers]
+    if channel.mode == "real":
+        return [pair.real_part for pair in pairs]
+    return [spec for pair in pairs for spec in (pair.real_part, pair.imag_part)]
+
+
+def _rows(channel, receivers, xs, layout=None):
     """transition_rows of xs at each receiver, from one _cells call over all their ADCs.
 
     Each receiver's rows are a C-contiguous array of their own: the rate
-    kernel's products over strided rows need not keep the same bits.
+    kernel's products over strided rows need not keep the same bits.  layout,
+    when given, is _edge_layout(_receiver_specs(channel, receivers)).
     """
     xs = np.asarray(xs, dtype=complex)
     finite = np.isfinite(xs)
     if not finite.all():
         raise ValidationError(f"input must be finite, got {complex(xs[~finite][0])!r}")
-    pairs = [channel.adc_for(receiver) for receiver in receivers]
+    if layout is None:
+        layout = _edge_layout(_receiver_specs(channel, receivers))
     gains = [channel.gain_for(receiver) for receiver in receivers]
     if channel.mode == "real":
         if xs.imag.any():
             x = complex(xs[xs.imag != 0.0][0])
             raise ValidationError(f"real-mode input must be real, got {x}")
-        specs = [pair.real_part for pair in pairs]
         means = np.multiply.outer(xs.real, [w.re for w in gains])
     else:
-        specs = [spec for pair in pairs for spec in (pair.real_part, pair.imag_part)]
         # a Python complex multiply per mean: numpy's complex product can differ in the last bit
         wx = np.array([w.value * x for x in xs.tolist() for w in gains], dtype=complex)
-        means = wx.view(float).reshape(len(xs), len(specs))  # (re, im) of each receiver
-    cells = _cells(specs, means)
-    ends = np.cumsum([spec.levels for spec in specs]).tolist()
-    blocks = [cells[:, end - spec.levels : end] for spec, end in zip(specs, ends)]
+        means = wx.view(float).reshape(len(xs), 2 * len(gains))  # (re, im) of each receiver
+    cells = _cells(layout, means)
+    blocks = [cells[:, start:end] for start, end in layout.blocks]
     if channel.mode == "real":
         return [np.ascontiguousarray(block) for block in blocks]
     return [

@@ -44,8 +44,11 @@ def complex_to_json(z):
 
 
 def complex_from_json(obj, name="value"):
-    """Accepts {"re":..,"im":..} or a bare number."""
+    """Accepts {"re":..,"im":..} (im defaults to 0) or a bare number; other keys are refused."""
     if isinstance(obj, dict):
+        unknown = sorted(set(obj) - {"re", "im"})
+        if unknown:
+            raise ValidationError(f"{name} accepts only keys 're' and 'im', got {unknown}")
         re, im = (require_number(f"{name} {k}", obj.get(k, 0.0)) for k in ("re", "im"))
         return complex(re, im)
     return complex(require_number(name, obj), 0.0)

@@ -23,7 +23,13 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import optimizer as optimizer_mod
-from .achievability import _canonical_direction, _far_points, achieve, qpsk_bound
+from .achievability import (
+    _canonical_direction,
+    _far_points,
+    _saturation_amplitude,
+    achieve,
+    qpsk_bound,
+)
 from .adc import AdcSpec, ComplexAdcPair, one_bit_pair
 from .channel import ComplexGain, WiretapChannel, q_function, transition_rows
 from .errors import SweepExhaustedError, ValidationError
@@ -258,7 +264,7 @@ def _limit_deviation(chan, result):
     near = complex(result.a * direction) if chan.mode == "complex" else complex(result.a)
     worst = 0.0
     checked = 0
-    for far_amp, far in _far_points(chan, result.a, direction):
+    for far_amp, far in _far_points(result.a, direction, _saturation_amplitude(chan, direction)):
         if far_amp >= threshold and far != near:
             i1, i2 = _rate_arrays(chan, (near, far), (result.phi, 1.0 - result.phi))
             worst = max(worst, abs((i1 - i2) - result.limit_rate))

@@ -147,11 +147,13 @@ def test_c01_reported_rates_equal_fresh_secrecy_rates(construction_runs):
 
 # sha256 over the repr of every C1 result (exhaustion diagnostics for an
 # exhausted config), one per line: the 200 default constructions, the first
-# 100 in mode "best" with the trace kept, and the 200 in mode "first" with the
-# trace kept.  A construction speedup must keep every bit of them.
+# 100 in mode "best" with the trace kept, the 200 in mode "first" with the
+# trace kept, and the 200 in mode "best" without a trace (the trace turns the
+# scan's pair skip off).  A construction speedup must keep every bit of them.
 C1_RESULTS_SHA256 = "e706ea6df233adb6e9e5c9fb905d2faabb83b48bed65e11c57b2b43dd53d31ab"
 C1_BEST_TRACED_SHA256 = "68fd48fc6b7b39bf98473e6b2bce9a7bb7e452015b6af80eb2e388b8997d3d52"
 C1_FIRST_TRACED_SHA256 = "80b9bab6e133af588828ac4261f78b75e64c70e9a4a190763037d93b0265e95a"
+C1_BEST_SHA256 = "ecf04e86cf693d417b00bcb86cdf6ac6f0ed158053d133bbaae425e9840b1dff"
 
 
 def _results_sha256(reprs):
@@ -165,6 +167,7 @@ def test_c01_results_are_byte_identical_to_frozen_digests(construction_runs):
     for configs, options, expected in (
         (range(100), ConstructOptions(mode="best", keep_trace=True), C1_BEST_TRACED_SHA256),
         (range(200), ConstructOptions(keep_trace=True), C1_FIRST_TRACED_SHA256),
+        (range(200), ConstructOptions(mode="best"), C1_BEST_SHA256),
     ):
         reprs = []
         for case in configs:

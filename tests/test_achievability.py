@@ -236,11 +236,14 @@ class TestConstruct:
     @pytest.mark.parametrize("case, mode", [(7, "real"), (28, "complex")])
     def test_extended_rays_build_each_point_once_and_batch_pairs(self, monkeypatch, case, mode):
         # C1 config 7 exhausts the sweep; config 28 runs every extended ray
-        # before its split pair clears the floor
+        # before its split pair clears the floor.  The construction derives
+        # its edge layout once and each direction's saturation amplitude once.
         calls = []
         self.count_calls(
             monkeypatch, calls,
             (channel_mod, "_rows"),
+            (channel_mod, "_edge_layout"),
+            (achievability_mod, "_saturation_amplitude"),
             (infotheory_mod, "_mutual_information_arrays"),
         )
         self.tee_scanned_pairs(monkeypatch, calls)
@@ -257,6 +260,10 @@ class TestConstruct:
         assert len(built) == len(set(built))
         kernel_calls = sum(name == "_mutual_information_arrays" for name, _ in calls)
         assert kernel_calls < len(pairs)
+        assert sum(name == "_edge_layout" for name, _ in calls) == 1
+        # the canonical ray is also an extended ray: 2 real or 4 complex directions
+        saturated = [args[1] for name, args in calls if name == "_saturation_amplitude"]
+        assert len(saturated) == len(set(saturated)) == (2 if mode == "real" else 4)
 
     def test_riding_pairs_are_scored_only_at_the_phis_read(self, monkeypatch):
         # C1-family seed [5, 5, 57]: a riding pair misses at phi 0.5 and
@@ -305,16 +312,19 @@ class TestConstruct:
         # every far schedule the construction meets on C1 configs 0-199, in
         # both modes, stops where the far point's rows read 1.0 in both limit
         # cells
-        far_points, schedules = achievability_mod._far_points, {}
+        far_points, schedules, current = achievability_mod._far_points, {}, {}
 
-        def recorded(chan, near_amp, direction):
-            fars = far_points(chan, near_amp, direction)
-            schedules[(chan, near_amp, direction)] = fars
+        def recorded(near_amp, direction, saturated):
+            fars = far_points(near_amp, direction, saturated)
+            schedules[(current["chan"], near_amp, direction)] = fars
             return fars
 
         monkeypatch.setattr(achievability_mod, "_far_points", recorded)
-        self.c1_reprs(range(200), ConstructOptions())
-        self.c1_reprs(range(200), ConstructOptions(mode="best"))
+        for options in (ConstructOptions(), ConstructOptions(mode="best")):
+            for case in range(200):
+                current["chan"] = criterion1_channel(np.random.default_rng([1, 1, case]),
+                                                     "real" if case % 2 else "complex")
+                self.c1_reprs([case], options)
         assert len(schedules) > 1000
         for (chan, near_amp, direction), fars in schedules.items():
             assert fars == oracles.rows_read_far_points(chan, near_amp, direction)
@@ -325,9 +335,9 @@ class TestConstruct:
         calls = {"rows": 0, "lazy": 0}
         rows, limit_mass = channel_mod._rows, achievability_mod._Sweep.limit_mass
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls["rows"] += 1
-            return rows(*args)
+            return rows(*args, **kwargs)
 
         def watched(sweep, *args):
             before = calls["rows"]
@@ -339,7 +349,7 @@ class TestConstruct:
         monkeypatch.setattr(achievability_mod._Sweep, "limit_mass", watched)
         self.c1_reprs(range(200), ConstructOptions())
         assert calls["lazy"] == 0
-        assert calls["rows"] <= 492
+        assert calls["rows"] == 492
 
     def test_rate_positive_across_random_channels(self):
         rng = np.random.default_rng(21)

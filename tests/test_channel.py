@@ -30,6 +30,11 @@ from wiretap_adc import (
 ROW_SUM_TOL = 1e-12
 
 
+def cells_of(specs, means):
+    """channel._cells of the ADCs in specs side by side."""
+    return channel_mod._cells(channel_mod._edge_layout(specs), means)
+
+
 def make_channel(mode="real", w1=1.0, w2=2.0, legit=None, eave=None):
     return WiretapChannel(
         w1=ComplexGain(*w1) if isinstance(w1, tuple) else ComplexGain(w1),
@@ -137,7 +142,7 @@ def test_complex_means_use_the_scalar_gain_product():
     assert (w2 * np.array(xs) != means).any()
     chan = make_channel(mode="complex", w2=(w2.real, w2.imag), eave=eave)
     specs = (eave.real_part, eave.imag_part)
-    cells = channel_mod._cells(specs, np.stack((means.real, means.imag), axis=1))
+    cells = cells_of(specs, np.stack((means.real, means.imag), axis=1))
     k = eave.real_part.levels
     want = (cells[:, :k, None] * cells[:, None, k:]).reshape(len(xs), -1)
     np.testing.assert_array_equal(transition_rows(chan, "eave", xs), want)
@@ -158,7 +163,7 @@ def test_edge_shared_tails_keep_the_per_cell_bits(seed, caplog):
             [means, [[s.thresholds[i % (s.levels - 1)] for s in specs] for i in range(on_edges)]]
         )
         with caplog.at_level(logging.DEBUG, logger=channel_mod.__name__):
-            cells = channel_mod._cells(specs, means)
+            cells = cells_of(specs, means)
         assert np.array_equal(cells, oracles.six_tail_cells(specs, means))
         assert cells.flags.c_contiguous
     assert "clamped" in caplog.text
@@ -169,11 +174,11 @@ def test_edge_shared_tails_keep_the_per_cell_bits(seed, caplog):
     # signed zeros: means +0.0 and -0.0 on thresholds 0.0 and -0.0
     specs = (AdcSpec((-1.0, 0.0, 2.0), (0, 1, 2, 3)), AdcSpec((-0.0,), (0, 1)))
     means = np.array([[0.0, 0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0]])
-    assert np.array_equal(channel_mod._cells(specs, means), oracles.six_tail_cells(specs, means))
+    assert np.array_equal(cells_of(specs, means), oracles.six_tail_cells(specs, means))
     # a kkt_check-sized call: 2,005 means on a 64-level ADC
     specs = (random_adc(rng, min_levels=64, max_levels=64),)
     means = rng.uniform(-40.0, 40.0, size=(2005, 1))
-    assert np.array_equal(channel_mod._cells(specs, means), oracles.six_tail_cells(specs, means))
+    assert np.array_equal(cells_of(specs, means), oracles.six_tail_cells(specs, means))
 
 
 def test_cells_hold_no_negative_zeros():
@@ -182,7 +187,7 @@ def test_cells_hold_no_negative_zeros():
     rng = np.random.default_rng(14)
     specs = (random_adc(rng, max_levels=64), random_adc(rng, max_levels=64))
     means = rng.uniform(-40.0, 40.0, size=(200, 2))
-    cells = channel_mod._cells(specs, means)
+    cells = cells_of(specs, means)
     assert np.array_equal(cells, oracles.six_tail_cells(specs, means))
     assert (cells == 0.0).any() and not np.signbit(cells).any()
 
@@ -198,14 +203,14 @@ def test_cells_evaluate_one_tail_table_per_call(monkeypatch):
     rng = np.random.default_rng(3)
     specs = (random_adc(rng, max_levels=64), random_adc(rng, max_levels=64))
     means = rng.normal(size=(50, 2))
-    channel_mod._cells(specs, means)
+    cells_of(specs, means)
     assert calls == [(50, specs[0].levels + specs[1].levels + 2)]
 
 
 def test_cells_of_no_means_keep_the_row_shape():
     rng = np.random.default_rng(6)
     specs = (random_adc(rng), random_adc(rng))
-    assert channel_mod._cells(specs, np.zeros((0, 2))).shape == (0, sum(s.levels for s in specs))
+    assert cells_of(specs, np.zeros((0, 2))).shape == (0, sum(s.levels for s in specs))
     chan = make_channel(eave=ComplexAdcPair(*specs))
     assert transition_rows(chan, "eave", []).shape == (0, specs[0].levels)
     chan = make_channel(mode="complex", w2=(1.0, 0.5), eave=ComplexAdcPair(*specs))

@@ -376,6 +376,26 @@ class TestConfigSections:
         assert main(["rate", "--config", write_config(tmp_path, **sections)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("channel", "w1"), {"re": 2.0, "img": 1.0}, "w1 accepts only keys 're' and 'im'"),
+            (("input", "points", 0), {"re": 1.0, "imag": 1.0},
+             "point accepts only keys 're' and 'im'"),
+        ],
+    )
+    def test_complex_numbers_refuse_unknown_keys(self, tmp_path, capsys, path, value, message):
+        # a misspelt imaginary part must not read as 0
+        dist = DiscreteInput((0.0, 2.0), (0.5, 0.5))
+        sections = {"channel": worked_channel().to_json(), "input": dist.to_json()}
+        *parents, leaf = path
+        node = sections
+        for key in parents:
+            node = node[key]
+        node[leaf] = value
+        assert main(["rate", "--config", write_config(tmp_path, **sections)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_integral_float_counts_read_as_ints(self, tmp_path, capsys):
         sweep = {"axis": "b", "start": 1.0, "stop": 3.0, "num": 3.0}
         cfg = write_config(tmp_path, channel=worked_channel().to_json(), sweep=sweep)
