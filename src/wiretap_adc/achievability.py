@@ -30,9 +30,9 @@ the edge layout the construction derives once), scores it (one kernel call per
 receiver, at all the scan's phis) and then walks the chunk's rates in stream
 order.  With the trace off, a pair whose largest rate is at most RATE_FLOOR
 and below the running best can neither hit nor lead: it only adds its
-evaluations and is not walked.  Far schedules stop at the ray's saturation
-amplitude, where both limit cells read 1.0; it comes from the thresholds once
-per direction, as do the direction's limit cells.
+evaluations and is not walked.  Each ray direction has one limit record,
+_ray_limits, worked out once: both receivers' limit cells and the saturation
+amplitude, where both read 1.0 and far schedules stop.
 """
 
 import cmath
@@ -56,7 +56,7 @@ from .infotheory import (
     secrecy_rate,
     z_rate,
 )
-from .util import require_budget, require_finite
+from .util import complex_to_json, json_fields, require_budget, require_finite
 
 QUARTER = math.pi / 2.0
 
@@ -150,32 +150,7 @@ class AchievabilityResult:
         return self.alpha * self.exact_rate.rs
 
     def to_json(self):
-        def cpx(z):
-            return None if z is None else {"re": complex(z).real, "im": complex(z).imag}
-
-        return {
-            "mode": self.mode,
-            "phi": self.phi,
-            "a": self.a,
-            "b": self.b,
-            "capital_phi": self.capital_phi,
-            "theta": self.theta,
-            "delta": self.delta,
-            "m": self.m,
-            "y1_bar": cpx(self.y1_bar),
-            "ray": self.ray,
-            "regime": self.regime,
-            "p1": self.p1,
-            "p2": self.p2,
-            "limit_rate": self.limit_rate,
-            "input": self.input.to_json(),
-            "exact_rate": self.exact_rate.to_json(),
-            "translation": cpx(self.translation),
-            "reduced_rate": None if self.reduced_rate is None else self.reduced_rate.to_json(),
-            "alpha": self.alpha,
-            "power_budget": self.power_budget,
-            "effective_rate": self.effective_rate,
-        }
+        return {**json_fields(self, skip=("trace",)), "effective_rate": self.effective_rate}
 
 
 def align_phase(w1, w2):
@@ -228,17 +203,24 @@ def _ray_axes(chan, receiver, direction):
     return ((wd.real, pair.real_part), (wd.imag, pair.imag_part))
 
 
-def _limit_cell_indices(chan, direction):
-    """Joint output index each receiver saturates in as the far point recedes."""
-    indices = []
-    for receiver in ("legit", "eave"):
+def _ray_limits(chan, direction):
+    """((legit, eave) limit cells, saturation amplitude) of a ray direction.
+
+    A limit cell is the joint output index a receiver saturates in as the far
+    point recedes; from the saturation amplitude on, every limit-cell axis of
+    both receivers clears _SATURATION_OFFSET, so both limit cells read 1.0.
+    """
+    cells, saturated = [], -math.inf
+    for receiver in channel_mod.RECEIVERS:
         index = 0
         for drift, spec in _ray_axes(chan, receiver, direction):
             if drift == 0.0:
                 raise ValidationError("ray drifts along a quantizer axis; no limit cell")
             index = index * spec.levels + (spec.levels - 1 if drift > 0.0 else 0)
-        indices.append(index)
-    return tuple(indices)
+            edge = spec.thresholds[-1] if drift > 0.0 else -spec.thresholds[0]
+            saturated = max(saturated, (_SATURATION_OFFSET + edge) / abs(drift))
+        cells.append(index)
+    return tuple(cells), saturated
 
 
 def _require_theta(theta):
@@ -302,8 +284,8 @@ def zchannel_limit(phi, p1, p2):
 class _Sweep:
     """Pair-stream scanner tracking the running best and optional trace.
 
-    It keeps both receivers' rows of every point and the limit cells of every
-    direction the construction meets, so each point is built once.
+    It keeps both receivers' rows of every point and the _ray_limits of every
+    direction the construction meets, so each is worked out once.
     """
 
     def __init__(self, chan, options):
@@ -312,7 +294,7 @@ class _Sweep:
         self.trace = [] if options.keep_trace else None
         self.best = None  # (rs, (sort amplitude, phi), candidate)
         self.evaluations = 0
-        self._rows, self._cells, self._saturation = {}, {}, {}  # by point, by direction
+        self._rows, self._rays = {}, {}  # by point, by direction
         self._layout = channel_mod._edge_layout(
             channel_mod._receiver_specs(chan, channel_mod.RECEIVERS))
 
@@ -323,21 +305,15 @@ class _Sweep:
             rows = channel_mod._rows(self.chan, channel_mod.RECEIVERS, new, layout=self._layout)
             self._rows.update(zip(new, zip(*rows)))
 
-    def limit_cells(self, direction):
-        """The direction's (legit, eave) limit cells, worked out once."""
-        if direction not in self._cells:
-            self._cells[direction] = _limit_cell_indices(self.chan, direction)
-        return self._cells[direction]
-
-    def saturation(self, direction):
-        """The direction's _saturation_amplitude, worked out once."""
-        if direction not in self._saturation:
-            self._saturation[direction] = _saturation_amplitude(self.chan, direction)
-        return self._saturation[direction]
+    def ray(self, direction):
+        """The direction's _ray_limits, worked out once."""
+        if direction not in self._rays:
+            self._rays[direction] = _ray_limits(self.chan, direction)
+        return self._rays[direction]
 
     def limit_mass(self, direction, point):
         """(legit, eave) mass of the point's rows in the limit cells: a near point's (p1, p2)."""
-        idx1, idx2 = self.limit_cells(direction)
+        (idx1, idx2), _ = self.ray(direction)
         if point not in self._rows:
             self.build((point,))
         row1, row2 = self._rows[point]
@@ -364,7 +340,7 @@ class _Sweep:
                 if self.trace is None and self.best is not None:
                     top = max(map(sub, i1s, i2s))
                     if top <= RATE_FLOOR and top < self.best[0]:
-                        self.limit_cells(limit_dir)  # a ray along an axis still raises here
+                        self.ray(limit_dir)  # a ray along an axis still raises here
                         self.evaluations += len(phis)
                         continue
                 p1, p2 = self.limit_mass(limit_dir, near)
@@ -392,49 +368,32 @@ class _Sweep:
         return None
 
 
-def _saturation_amplitude(chan, direction):
-    """Amplitude along direction from which both receivers' limit cells read 1.0.
-
-    There every limit-cell axis of both receivers clears _SATURATION_OFFSET.
-    """
-    axes = [axis for r in channel_mod.RECEIVERS for axis in _ray_axes(chan, r, direction)]
-    if any(drift == 0.0 for drift, _ in axes):
-        raise ValidationError("ray drifts along a quantizer axis; no limit cell")
-    return max((_SATURATION_OFFSET + (s.thresholds[-1] if d > 0.0 else -s.thresholds[0]))
-               / abs(d) for d, s in axes)
-
-
 def _far_points(near_amp, direction, saturated):
     """[(far_amp, far point)] at max(|near_amp|, 1) * 2^k along direction, k <= _MAX_DOUBLINGS.
 
     Ends at the first far point at or past saturated, the direction's
-    _saturation_amplitude.
+    saturation amplitude (_ray_limits).
     """
     base = max(abs(near_amp), 1.0)
     k = next((k for k in range(_MAX_DOUBLINGS) if base * 2.0**k >= saturated), _MAX_DOUBLINGS)
     return [(base * 2.0**j, complex(base * 2.0**j * direction)) for j in range(k + 1)]
 
 
-def _ray_threshold_riders(chan, direction):
-    """Amplitudes whose eavesdropper mean sits exactly on a threshold."""
-    return [
-        t / drift
-        for drift, spec in _ray_axes(chan, "eave", direction)
-        if drift != 0.0
-        for t in spec.thresholds
-    ]
+def _eave_bounds(chan, direction):
+    """(feasibility bound, threshold riders) of the eavesdropper along a ray direction.
 
-
-def _ray_margin_bound(chan, direction):
-    """Feasibility bound generalized to an arbitrary ray direction."""
+    The bound is choose_amplitude's, generalized to any direction; the riders
+    are the amplitudes whose eavesdropper mean sits exactly on a threshold.
+    Axes with zero drift are skipped.
+    """
     s = chan.w2.magnitude - chan.w1.magnitude
-    cands = [
-        (spec.thresholds[-1] if drift > 0.0 else -spec.thresholds[0])
-        / (s * abs(drift) / chan.w2.magnitude)
-        for drift, spec in _ray_axes(chan, "eave", direction)
-        if drift != 0.0
-    ]
-    return max(cands) if s > 0.0 else min(cands)
+    cands, riders = [], []
+    for drift, spec in _ray_axes(chan, "eave", direction):
+        if drift != 0.0:
+            edge = spec.thresholds[-1] if drift > 0.0 else -spec.thresholds[0]
+            cands.append(edge / (s * abs(drift) / chan.w2.magnitude))
+            riders.extend(t / drift for t in spec.thresholds)
+    return (max(cands) if s > 0.0 else min(cands)), riders
 
 
 def construct_positive_rate(chan, options=None):
@@ -482,13 +441,9 @@ def construct_positive_rate(chan, options=None):
         diagnostics={
             "rate_floor": RATE_FLOOR,
             "best_rate": best_rs,
-            "best_candidate": None
-            if best_cand is None
-            else {
-                "near": {"re": best_cand[0].real, "im": best_cand[0].imag},
-                "far": {"re": best_cand[1].real, "im": best_cand[1].imag},
-                "phi": best_cand[2],
-            },
+            "best_candidate": None if best_cand is None else {
+                "near": complex_to_json(best_cand[0]), "far": complex_to_json(best_cand[1]),
+                "phi": best_cand[2]},
             "evaluations": sweep.evaluations,
             "stage_evaluations": stage_evaluations,
             "channel": chan.to_json(),
@@ -532,7 +487,7 @@ def _ray_pairs(sweep, near_amps, direction, line_angle, ray, regime):
     A near amplitude of 1 or more is its schedule's first far point: that pair is skipped.
     """
     meta = {"ray": ray, "line_angle": line_angle, "regime": regime}
-    saturated = sweep.saturation(direction)
+    _, saturated = sweep.ray(direction)
     for near_amp in near_amps:
         near = complex(near_amp * direction)
         for far_amp, far in _far_points(near_amp, direction, saturated):
@@ -548,38 +503,38 @@ def _extended_scans(sweep, alignment):
     feasibility bound, threshold riders, and zero.  Then riding amplitudes on
     each line pair up directly, one (pair, phi) step at a time with phi in
     (0.5, 0.3, 0.7) order, which covers eavesdropper-pinning inputs the
-    schedule cannot reach.
+    schedule cannot reach.  The lines are the first half of the rays: the
+    other half runs along the same lines the other way.
     """
     chan = sweep.chan
     s = chan.w2.magnitude - chan.w1.magnitude
     if chan.mode == "complex":
         base = alignment.capital_phi
         rays = [(r, cmath.rect(1.0, base + r * QUARTER), base + r * QUARTER) for r in range(4)]
-        lines = [(cmath.rect(1.0, base + r * QUARTER), base + r * QUARTER, r) for r in (0, 1)]
     else:
         rays = [(None, 1.0, 0.0), (None, -1.0, 0.0)]
-        lines = [(1.0, 0.0, None)]
 
-    ray_pairs = []
+    ray_pairs, lines = [], []
     for ray, direction, line_angle in rays:
-        bound = _ray_margin_bound(chan, direction)
+        bound, riders = _eave_bounds(chan, direction)
         amps = [bound + math.copysign(max(1.0, abs(bound)), s)]
         amps.extend(bound + math.copysign(d * max(1.0, abs(bound)), s) for d in _REFINE_DELTAS)
-        amps.extend(sorted(_ray_threshold_riders(chan, direction), key=lambda v: (abs(v), v)))
+        amps.extend(sorted(riders, key=lambda v: (abs(v), v)))
         amps.append(0.0)
         amps = list(dict.fromkeys(amp for amp in amps if math.isfinite(amp)))
         ray_pairs.append(_ray_pairs(sweep, amps, direction, line_angle, ray, "searched"))
+        lines.append((ray, direction, line_angle, riders))
 
     yield chain(*ray_pairs), PHI_GRID, len(PHI_GRID)
-    yield _riding_pairs(chan, lines), (0.5, 0.3, 0.7), 1
+    yield _riding_pairs(lines[: len(lines) // 2]), (0.5, 0.3, 0.7), 1
 
 
-def _riding_pairs(chan, lines):
-    """Pairs of threshold-riding amplitudes (and zero) on each line, smallest first."""
-    for direction, line_angle, ray in lines:
+def _riding_pairs(lines):
+    """Pairs of a line's threshold riders (and zero), smallest first, line by line."""
+    for ray, direction, line_angle, riders in lines:
         # "limit": None leaves the trace's limit column empty
         meta = {"ray": ray, "line_angle": line_angle, "regime": "searched", "limit": None}
-        values = sorted(set(_ray_threshold_riders(chan, direction)) | {0.0})
+        values = sorted(set(riders) | {0.0})
         pairs = [(u, v) for i, u in enumerate(values) for v in values[i + 1 :]]
         pairs.sort(key=lambda p: (abs(p[0]) + abs(p[1]), p))
         for u, v in pairs:
@@ -672,13 +627,7 @@ class QpskBound:
     input: DiscreteInput
 
     def to_json(self):
-        return {
-            "i1": self.i1,
-            "i2": self.i2,
-            "rs": self.rs,
-            "bound": self.bound,
-            "input": self.input.to_json(),
-        }
+        return json_fields(self)
 
 
 def qpsk_bound(chan, power_budget):

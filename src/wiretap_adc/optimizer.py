@@ -36,7 +36,7 @@ from .infotheory import (
     information_densities,
     secrecy_rate,
 )
-from .util import require_budget, require_integer
+from .util import json_fields, require_budget, require_integer
 
 logger = logging.getLogger(__name__)
 
@@ -64,6 +64,8 @@ class OptimizeConfig:
             raise ValidationError(
                 f"support_size must lie in [1, {MAX_SUPPORT}], got {self.support_size}"
             )
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.restarts < 1:
             raise ValidationError("restarts must be >= 1")
         if self.max_iterations < 1:
@@ -401,17 +403,8 @@ class KktReport:
     grid_radius: float
 
     def to_json(self):
-        return {
-            "lambda": self.lambda_,
-            "rate_report": self.rate.to_json(),
-            "mean_square": self.mean_square,
-            "power_budget": self.power_budget,
-            "max_slack_violation": self.max_slack_violation,
-            "support_residual": self.support_residual,
-            "slackness_residual": self.slackness_residual,
-            "grid_points": self.grid_points,
-            "grid_radius": self.grid_radius,
-        }
+        return {"lambda": self.lambda_, "rate_report": self.rate.to_json(),
+                **json_fields(self, skip=("lambda_", "rate"))}
 
 
 def kkt_check(chan, input_dist, power_budget):

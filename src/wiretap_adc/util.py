@@ -1,16 +1,21 @@
-"""Small shared helpers: number, integer and power-budget checks, complex-number JSON coding."""
+"""Small shared helpers: number, integer and power-budget checks, JSON coding."""
 
 import math
 import numbers
+from dataclasses import fields
 
 from .errors import ValidationError
 
 
 def require_finite(name, value):
-    """value as a float; a bool is refused rather than read as 0.0 or 1.0."""
+    """value as a float; a non-number is refused, and so is a bool rather than read as 0 or 1."""
     if type(value) is bool:
         raise ValidationError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except TypeError:  # a string, None or another non-number
+        raise ValidationError(f"{name} must be a number, got {value!r}") from None
+    if not finite:
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return float(value)
 
@@ -41,6 +46,20 @@ def require_budget(power_budget):
 def complex_to_json(z):
     z = complex(z)
     return {"re": z.real, "im": z.imag}
+
+
+def json_fields(obj, skip=()):
+    """obj's dataclass fields less skip, in field order: complex as {re, im}, objects by to_json."""
+    out = {}
+    for field in fields(obj):
+        if field.name not in skip:
+            value = getattr(obj, field.name)
+            if isinstance(value, complex):
+                value = complex_to_json(value)
+            elif hasattr(value, "to_json"):
+                value = value.to_json()
+            out[field.name] = value
+    return out
 
 
 def complex_from_json(obj, name="value"):

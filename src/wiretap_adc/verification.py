@@ -26,7 +26,7 @@ from . import optimizer as optimizer_mod
 from .achievability import (
     _canonical_direction,
     _far_points,
-    _saturation_amplitude,
+    _ray_limits,
     achieve,
     qpsk_bound,
 )
@@ -51,6 +51,7 @@ from .optimizer import (
     optimize_wyner_rate,
     reflect_input,
 )
+from .util import require_integer
 
 logger = logging.getLogger(__name__)
 
@@ -264,7 +265,7 @@ def _limit_deviation(chan, result):
     near = complex(result.a * direction) if chan.mode == "complex" else complex(result.a)
     worst = 0.0
     checked = 0
-    for far_amp, far in _far_points(result.a, direction, _saturation_amplitude(chan, direction)):
+    for far_amp, far in _far_points(result.a, direction, _ray_limits(chan, direction)[1]):
         if far_amp >= threshold and far != near:
             i1, i2 = _rate_arrays(chan, (near, far), (result.phi, 1.0 - result.phi))
             worst = max(worst, abs((i1 - i2) - result.limit_rate))
@@ -455,12 +456,18 @@ SUITES = (
 def run_verification(seed=0, names=None):
     """Run the named suites (default: all) in table order; suite i draws from [seed, i].
 
-    The names are checked before any suite runs.
+    The seed and names are checked before any suite runs.
     """
+    seed = require_integer("verify seed", seed)
+    if seed < 0:
+        raise ValidationError(f"verify seed must be >= 0, got {seed}")
     if isinstance(names, str):
         raise ValidationError(f"verification suites must be a collection of names, got {names!r}")
     known = [name for name, *_ in SUITES]
-    wanted = set(known if names is None else names)
+    wanted = known if names is None else list(names)
+    if not all(isinstance(name, str) for name in wanted):
+        raise ValidationError(f"verification suite names must be strings, got {wanted!r}")
+    wanted = set(wanted)
     if not wanted:
         raise ValidationError("no verification suites selected")
     unknown = wanted.difference(known)

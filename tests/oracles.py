@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import ndtr
 
-from wiretap_adc.achievability import _MAX_DOUBLINGS, _limit_cell_indices
+from wiretap_adc.achievability import _MAX_DOUBLINGS, _ray_limits
 from wiretap_adc.channel import RECEIVERS, UNDERFLOW_FLOOR, transition_rows
 
 mp.mp.dps = 40
@@ -116,7 +116,7 @@ def rows_read_far_points(chan, near_amp, direction):
     Ends at the first far point whose rows at both receivers put mass 1.0 in
     the limit cells.
     """
-    cells = _limit_cell_indices(chan, direction)
+    cells, _ = _ray_limits(chan, direction)
     base = max(abs(near_amp), 1.0)
     fars = []
     for k in range(_MAX_DOUBLINGS + 1):

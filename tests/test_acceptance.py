@@ -179,6 +179,60 @@ def test_c01_results_are_byte_identical_to_frozen_digests(construction_runs):
         assert _results_sha256(reprs) == expected
 
 
+# sha256 over repr(to_json()) of results, one per line; repr pins the key
+# order too.  C1: every C1 config with no power budget and with 0.5
+# (exhaustion diagnostics for an exhausted config).  Reduced: C1-family
+# channels whose one-bit legitimate ADC is off-centre, so the reduction sets
+# translation and reduced_rate.  QPSK/KKT: criterion 8's QPSK bounds and KKT
+# reports of seeded real inputs.
+C1_JSON_SHA256 = "5c6f93a4ad4b37fc92b9a9781a57d22e84fd46037623d6b2c082f06990ceb836"
+REDUCED_JSON_SHA256 = "1db8eb4114f1021f64651775bf8edf2074cf35390b559dfffe65abf4fcf2f3f1"
+QPSK_KKT_JSON_SHA256 = "9630aeb572c5817582911f59b64ddf0053370bdf2a704b9076736ec12021417b"
+
+
+def _achieve_json_repr(chan, power_budget):
+    try:
+        return repr(achieve(chan, power_budget=power_budget).to_json())
+    except SweepExhaustedError as exc:
+        return repr(exc.diagnostics)
+
+
+def test_result_json_is_byte_identical_to_frozen_digests():
+    chans = [criterion1_channel(rng_for(1, case), "real" if case % 2 else "complex")
+             for case in range(200)]
+    reprs = [_achieve_json_repr(chan, pb) for chan in chans for pb in (None, 0.5)]
+    assert _results_sha256(reprs) == C1_JSON_SHA256
+    reprs = []
+    for case in range(20):
+        rng = rng_for(2, 100 + case)
+        chan = criterion1_channel(rng, "real" if case % 2 else "complex")
+        offsets = rng.choice([-1.0, 1.0], 2) * rng.uniform(0.05, 1.0, 2)
+        legit = ComplexAdcPair(*(AdcSpec((float(t),), (-1.0, 1.0)) for t in offsets))
+        chan = WiretapChannel(w1=chan.w1, w2=chan.w2, legit_adc=legit,
+                              eave_adc=chan.eave_adc, mode=chan.mode)
+        reprs.append(_achieve_json_repr(chan, 0.5 if case % 4 < 2 else None))
+    assert sum("'reduced_rate': {" in r for r in reprs) > 10
+    assert _results_sha256(reprs) == REDUCED_JSON_SHA256
+    reprs = []
+    for case in range(20):
+        rng = rng_for(8, case)
+        m2 = float(rng.uniform(0.1, 1.2))
+        chan = WiretapChannel(
+            w1=random_gain(rng, m2 + float(rng.uniform(0.1, 2.5)), "complex"),
+            w2=random_gain(rng, m2, "complex"),
+            legit_adc=one_bit_pair(),
+            eave_adc=one_bit_pair(),
+            mode="complex",
+        )
+        reprs.append(repr(qpsk_bound(chan, float(rng.uniform(0.5, 4.0))).to_json()))
+    for case in range(5):
+        rng = rng_for(10, 100 + case)
+        chan = one_bit_real_channel(rng, legit_weaker=bool(case % 2))
+        dist = random_real_input(rng)
+        reprs.append(repr(kkt_check(chan, dist, float(rng.uniform(0.5, 4.0))).to_json()))
+    assert _results_sha256(reprs) == QPSK_KKT_JSON_SHA256
+
+
 # A construction keeps every point's rows and scores pairs in chunks; this
 # caps the temporaries those chunks may hold (the worst config reads ~480 KB)
 C1_OP_PEAK_BYTES = 1 << 20

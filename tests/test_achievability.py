@@ -126,6 +126,17 @@ class TestCrossoversAndAmplitude:
         with pytest.raises(ValidationError):
             crossover_probs(bad, None, 1.0)
 
+    def test_a_ray_along_a_quantizer_axis_has_no_limit_cell(self):
+        # direction (c, d) = e^{0.3j} and w1 = d + jc give the legitimate real
+        # drift d*c - c*d == 0.0 exactly: the ray never leaves that axis's cells
+        direction = cmath.rect(1.0, 0.3)
+        chan = complex_channel((direction.imag, direction.real), (1.0, 0.0))
+        assert (chan.w1.value * direction).real == 0.0
+        with pytest.raises(ValidationError, match="drifts along a quantizer axis"):
+            crossover_probs(chan, 0.3, 1.0)
+        with pytest.raises(ValidationError, match="drifts along a quantizer axis"):
+            achievability_mod._ray_limits(chan, direction)
+
     def test_choose_amplitude_real(self):
         # top eavesdropper threshold 1.0, gain gap 1.0: bound 1, margin 1
         assert choose_amplitude(WORKED) == 2.0
@@ -237,13 +248,13 @@ class TestConstruct:
     def test_extended_rays_build_each_point_once_and_batch_pairs(self, monkeypatch, case, mode):
         # C1 config 7 exhausts the sweep; config 28 runs every extended ray
         # before its split pair clears the floor.  The construction derives
-        # its edge layout once and each direction's saturation amplitude once.
+        # its edge layout once and each limit direction's _ray_limits once.
         calls = []
         self.count_calls(
             monkeypatch, calls,
             (channel_mod, "_rows"),
             (channel_mod, "_edge_layout"),
-            (achievability_mod, "_saturation_amplitude"),
+            (achievability_mod, "_ray_limits"),
             (infotheory_mod, "_mutual_information_arrays"),
         )
         self.tee_scanned_pairs(monkeypatch, calls)
@@ -261,9 +272,11 @@ class TestConstruct:
         kernel_calls = sum(name == "_mutual_information_arrays" for name, _ in calls)
         assert kernel_calls < len(pairs)
         assert sum(name == "_edge_layout" for name, _ in calls) == 1
-        # the canonical ray is also an extended ray: 2 real or 4 complex directions
-        saturated = [args[1] for name, args in calls if name == "_saturation_amplitude"]
-        assert len(saturated) == len(set(saturated)) == (2 if mode == "real" else 4)
+        # every limit direction a pulled pair reads, and no other, is derived once
+        derived = [args[1] for name, args in calls if name == "_ray_limits"]
+        directions = {args[2] for name, args in calls if name == "pair"}
+        assert len(derived) == len(set(derived)) == len(directions)
+        assert set(derived) == directions
 
     def test_riding_pairs_are_scored_only_at_the_phis_read(self, monkeypatch):
         # C1-family seed [5, 5, 57]: a riding pair misses at phi 0.5 and

@@ -17,6 +17,9 @@ from wiretap_adc import (
     ValidationError,
     WiretapChannel,
     achieve,
+    apply_power_constraint,
+    choose_amplitude,
+    crossover_probs,
     folding_functions,
     kkt_check,
     one_bit,
@@ -284,12 +287,22 @@ BPSK = DiscreteInput((-1.0, 1.0), (0.5, 0.5))
         lambda: q_function(True),
         lambda: shift_thresholds(one_bit(), True),
         lambda: folding_functions(BPSK, True),
+        lambda: ComplexGain("1"),
+        lambda: q_function("1"),
+        lambda: achieve(make_channel(), power_budget="1"),
+        lambda: kkt_check(make_channel(), BPSK, "2"),
+        lambda: apply_power_constraint(achieve(make_channel()), None),
+        lambda: choose_amplitude(make_channel(mode="complex")),
+        lambda: crossover_probs(make_channel(mode="complex"), None, 1.0),
     ],
     ids=["ComplexGain", "kkt_check", "achieve", "q_function", "shift_thresholds",
-         "folding_functions"],
+         "folding_functions", "ComplexGain-str", "q_function-str", "achieve-str",
+         "kkt_check-str", "apply_power_constraint-None", "choose_amplitude-None",
+         "crossover_probs-None"],
 )
 def test_numbers_refuse_bools(call):
-    # bool is an int subclass: True would otherwise read as 1.0
+    # bool is an int subclass: True would otherwise read as 1.0; a string or
+    # None is refused as a number too, not left to fail as a TypeError
     with pytest.raises(ValidationError, match="must be a number"):
         call()
 

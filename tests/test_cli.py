@@ -4,8 +4,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -521,10 +523,14 @@ def test_module_entry_point(tmp_path):
     cfg = write_config(
         tmp_path, channel=worked_channel().to_json(), input=dist.to_json()
     )
+    # the package's source directory, whether or not PYTHONPATH names it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "wiretap_adc.cli", "rate", "--config", cfg],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
         check=False,
     )
     assert proc.returncode == 0

@@ -178,6 +178,9 @@ def test_config_validation():
         OptimizeConfig(support_size=65)
     with pytest.raises(ValidationError):
         OptimizeConfig(restarts=0)
+    # numpy would only refuse a negative seed once the optimizer runs
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        OptimizeConfig(seed=-1)
 
 
 @pytest.mark.parametrize(

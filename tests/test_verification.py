@@ -55,6 +55,10 @@ def test_names_are_checked_before_any_suite_runs(monkeypatch):
     # a bare string is not a list of one name
     with pytest.raises(ValidationError):
         verification.run_verification(names="kkt")
+    # bad seeds and non-string names are refused, not left to numpy or sorted
+    for kwargs in ({"seed": -1}, {"seed": 1.5}, {"names": [1, "x"]}):
+        with pytest.raises(ValidationError):
+            verification.run_verification(**{"names": ["closed_forms"], **kwargs})
 
 
 def test_same_seed_same_worst():
