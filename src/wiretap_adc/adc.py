@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .util import require_finite, require_number
+from .util import require_finite
 
 # Joint transition rows have k_R * k_I entries; 4096 per component keeps them
 # desk-sized.
@@ -59,7 +59,7 @@ class AdcSpec:
         if not isinstance(obj, dict) or "thresholds" not in obj or "outputs" not in obj:
             raise ValidationError(f"ADC spec needs thresholds/outputs keys, got {obj!r}")
         keys = ("thresholds", "outputs")
-        return cls(*(tuple(require_number(key, v) for v in obj[key]) for key in keys))
+        return cls(*(tuple(require_finite(key, v) for v in obj[key]) for key in keys))
 
 
 @dataclass(frozen=True, slots=True)

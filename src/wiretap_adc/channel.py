@@ -23,7 +23,7 @@ from scipy.special import ndtr
 
 from .adc import ComplexAdcPair, is_symmetric_one_bit
 from .errors import ValidationError
-from .util import complex_from_json, require_finite
+from .util import complex_from_json, json_fields, require_finite
 
 logger = logging.getLogger(__name__)
 
@@ -56,7 +56,7 @@ class ComplexGain:
         return complex(self.re, self.im)
 
     def to_json(self):
-        return {"re": self.re, "im": self.im}
+        return json_fields(self)
 
     @classmethod
     def from_json(cls, obj, name="gain"):

@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: rate, achieve, optimize, kkt-check, sweep, verify, qpsk-bound.
-Inputs come from a JSON config file; results go to stdout or --out as JSON
-(default) or CSV.  Exit codes: 0 success, 1 verification failure, 2
-validation error, 3 equal-gain precondition, 4 sweep exhausted.  Sweeps
-evaluate their grid in order, so one config gives the same bytes every run.
+COMMANDS is the one place that knows each command: its name, handler, help
+line and --trace help.  Inputs come from a JSON config file; results go to
+stdout or --out as JSON (default) or CSV.  Exit codes: 0 success, 1
+verification failure, 2 validation error, 3 equal-gain precondition, 4 sweep
+exhausted.  Sweeps evaluate their grid in order, so one config gives the same
+bytes every run.
 """
 
 import argparse
@@ -14,7 +16,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import verification
 from .achievability import (
@@ -32,18 +34,9 @@ from .optimizer import (
     kkt_check,
     optimize_wyner_rate,
 )
-from .util import require_integer, require_number
+from .util import require_finite, require_integer
 
-_ACHIEVE_KEYS = {"mode"}
-_OPTIMIZE_KEYS = {"support_size", "restarts", "seed", "max_iterations"}
-_SWEEP_KEYS = {"axis", "start", "stop", "num", "scale"}
 _SWEEP_AXES = ("b", "w2_mag", "J")
-_VERIFY_KEYS = {"seed", "suites"}
-
-TRACE_HEADERS = {
-    "achieve": ("b", "phi", "i1", "i2", "rs", "limit_rate"),
-    "optimize": ("seed", "restart", "iterations", "rs", "power"),
-}
 
 
 def _parser():
@@ -58,23 +51,11 @@ def _parser():
         description="Secrecy rates of Gaussian wiretap channels with finite-resolution ADCs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("rate", parents=[common], help="exact rates of a given input")
-    p.set_defaults(handler=cmd_rate)
-    p = sub.add_parser("achieve", parents=[common], help="construct a positive-rate input")
-    p.add_argument("--trace", help="write the candidate sweep trace CSV here")
-    p.set_defaults(handler=cmd_achieve)
-    p = sub.add_parser("optimize", parents=[common], help="optimize the input distribution")
-    p.add_argument("--trace", help="write the per-restart trace CSV here")
-    p.set_defaults(handler=cmd_optimize)
-    p = sub.add_parser("kkt-check", parents=[common], help="KKT audit of a given input")
-    p.set_defaults(handler=cmd_kkt_check)
-    p = sub.add_parser("sweep", parents=[common], help="rate sweep along one axis")
-    p.set_defaults(handler=cmd_sweep)
-    p = sub.add_parser("verify", parents=[common], help="run the self-check suites")
-    p.set_defaults(handler=cmd_verify)
-    p = sub.add_parser("qpsk-bound", parents=[common], help="QPSK rate and closed-form bound")
-    p.set_defaults(handler=cmd_qpsk_bound)
+    for name, handler, help_text, trace_help in COMMANDS:
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        if trace_help:
+            p.add_argument("--trace", help=trace_help)
+        p.set_defaults(handler=handler, trace=None)
     return parser
 
 
@@ -88,24 +69,23 @@ def _load_config(args):
     return cfg
 
 
+def _required(cfg, key, what, parse):
+    """parse(cfg[key]); a config without key is refused as missing `what`."""
+    if key not in cfg:
+        raise ValidationError(f"config is missing {what}")
+    return parse(cfg[key])
+
+
 def _channel_from(cfg):
-    if "channel" not in cfg:
-        raise ValidationError("config is missing the 'channel' section")
-    return WiretapChannel.from_json(cfg["channel"])
+    return _required(cfg, "channel", "the 'channel' section", WiretapChannel.from_json)
 
 
 def _input_from(cfg):
-    if "input" not in cfg:
-        raise ValidationError("config is missing the 'input' section")
-    return DiscreteInput.from_json(cfg["input"])
+    return _required(cfg, "input", "the 'input' section", DiscreteInput.from_json)
 
 
-def _budget_from(cfg, required=True):
-    if "J" not in cfg:
-        if required:
-            raise ValidationError("config is missing the power budget 'J'")
-        return None
-    return require_number("J", cfg["J"])
+def _budget_from(cfg):
+    return _required(cfg, "J", "the power budget 'J'", lambda j: require_finite("J", j))
 
 
 def _options_section(cfg, name, keys):
@@ -120,8 +100,7 @@ def _options_section(cfg, name, keys):
 
 
 def _construct_options(cfg, keep_trace=False):
-    section = _options_section(cfg, "achieve", _ACHIEVE_KEYS)
-    return ConstructOptions(keep_trace=keep_trace, **section)
+    return ConstructOptions(keep_trace=keep_trace, **_options_section(cfg, "achieve", {"mode"}))
 
 
 def _write_text(path, text):
@@ -134,72 +113,60 @@ def _write_text(path, text):
             sys.stdout.write("\n")
 
 
-def _csv_text(header, rows):
+def _emit(args, payload, header, rows):
+    """payload as JSON, or header and rows as CSV; a --trace file gets the CSV too."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(["" if v is None else v for v in row])
-    return buf.getvalue()
-
-
-def _emit(args, payload, csv_header=None, csv_rows=None):
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])  # None reads as ""
+    if args.trace:
+        _write_text(args.trace, buf.getvalue())
     if args.format == "csv":
-        if csv_header is None:
-            raise ValidationError(f"{args.command} has no CSV representation")
-        _write_text(args.out, _csv_text(csv_header, csv_rows))
+        _write_text(args.out, buf.getvalue())
     else:
         _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True))
     return 0
-
-
-def _write_trace(path, kind, rows):
-    if path:
-        _write_text(path, _csv_text(TRACE_HEADERS[kind], rows))
 
 
 def cmd_rate(args):
     cfg = _load_config(args)
     chan = _channel_from(cfg)
     dist = _input_from(cfg)
-    report = secrecy_rate(chan, dist)
-    payload = {"rate_report": report.to_json(), "input": dist.to_json()}
-    row = (report.i1, report.i2, report.rs, report.power)
-    return _emit(args, payload, ("i1", "i2", "rs", "power"), [row])
+    report = secrecy_rate(chan, dist).to_json()
+    header = ("i1", "i2", "rs", "power")
+    payload = {"rate_report": report, "input": dist.to_json()}
+    return _emit(args, payload, header, [[report[k] for k in header]])
 
 
 def cmd_achieve(args):
     cfg = _load_config(args)
     chan = _channel_from(cfg)
     options = _construct_options(cfg, keep_trace=bool(args.trace or args.format == "csv"))
-    result = achieve(chan, options, power_budget=_budget_from(cfg, required=False))
-    trace = list(result.trace or ())
-    _write_trace(args.trace, "achieve", trace)
-    return _emit(args, result.to_json(), TRACE_HEADERS["achieve"], trace)
+    result = achieve(chan, options, power_budget=_budget_from(cfg) if "J" in cfg else None)
+    header = ("b", "phi", "i1", "i2", "rs", "limit_rate")
+    return _emit(args, result.to_json(), header, result.trace or ())
 
 
 def cmd_optimize(args):
     cfg = _load_config(args)
     chan = _channel_from(cfg)
     j = _budget_from(cfg)
-    section = _options_section(cfg, "optimize", _OPTIMIZE_KEYS)
+    section = _options_section(cfg, "optimize", {f.name for f in fields(OptimizeConfig)})
     if args.seed is not None:
         section["seed"] = args.seed
     config = OptimizeConfig(**section)
     result = optimize_wyner_rate(chan, j, config)
     kkt = kkt_check(chan, result.input, j)
-    if chan.w1.magnitude == chan.w2.magnitude:
-        verdict = None
-    else:
+    try:
         verdict = check_support_condition(result.input, chan).to_json()
+    except EqualGainError:
+        verdict = None
     payload = {
         **result.to_json(),
         "seed": config.seed,
         "kkt_report": kkt.to_json(),
         "support_verdict": verdict,
     }
-    _write_trace(args.trace, "optimize", result.trace)
-    return _emit(args, payload, TRACE_HEADERS["optimize"], list(result.trace))
+    header = ("seed", "restart", "iterations", "rs", "power")
+    return _emit(args, payload, header, result.trace)
 
 
 def cmd_kkt_check(args):
@@ -207,19 +174,10 @@ def cmd_kkt_check(args):
     _options_section(cfg, "kkt", set())  # no options: the grid is optimizer.KKT_GRID_POINTS
     chan = _channel_from(cfg)
     dist = _input_from(cfg)
-    j = _budget_from(cfg)
-    report = kkt_check(chan, dist, j)
-    flat = report.to_json()
-    header = (
-        "lambda",
-        "mean_square",
-        "power_budget",
-        "max_slack_violation",
-        "support_residual",
-        "slackness_residual",
-    )
-    row = tuple(flat[k] for k in header)
-    return _emit(args, flat, header, [row])
+    flat = kkt_check(chan, dist, _budget_from(cfg)).to_json()
+    header = ("lambda", "mean_square", "power_budget", "max_slack_violation",
+              "support_residual", "slackness_residual")
+    return _emit(args, flat, header, [[flat[k] for k in header]])
 
 
 def _sweep_grid(section):
@@ -227,8 +185,8 @@ def _sweep_grid(section):
     if axis not in _SWEEP_AXES:
         raise ValidationError(f"sweep axis must be one of {_SWEEP_AXES}, got {axis!r}")
     try:
-        start = require_number("sweep start", section["start"])
-        stop = require_number("sweep stop", section["stop"])
+        start = require_finite("sweep start", section["start"])
+        stop = require_finite("sweep stop", section["stop"])
         num = require_integer("sweep num", section["num"])
     except KeyError as missing:
         raise ValidationError(f"sweep section is missing {missing}") from None
@@ -254,7 +212,8 @@ def _sweep_grid(section):
 def cmd_sweep(args):
     cfg = _load_config(args)
     chan = _channel_from(cfg)
-    axis, values = _sweep_grid(_options_section(cfg, "sweep", _SWEEP_KEYS))
+    section = _options_section(cfg, "sweep", {"axis", "start", "stop", "num", "scale"})
+    axis, values = _sweep_grid(section)
     options = _construct_options(cfg)
 
     if axis == "b":
@@ -282,9 +241,10 @@ def cmd_sweep(args):
         def run_one(val):
             if val <= 0.0:
                 raise ValidationError("w2_mag sweep values must be positive")
-            gain = ComplexGain(val * math.cos(phase), val * math.sin(phase))
             if chan.mode == "real":
                 gain = ComplexGain(math.copysign(val, chan.w2.re))
+            else:
+                gain = ComplexGain(val * math.cos(phase), val * math.sin(phase))
             res = achieve(replace(chan, w2=gain), options)
             rr = res.exact_rate
             return (val, rr.i1, rr.i2, rr.rs, res.limit_rate)
@@ -309,7 +269,7 @@ def cmd_verify(args):
     names = None
     if args.config:
         cfg = _load_config(args)
-        section = _options_section(cfg, "verify", _VERIFY_KEYS)
+        section = _options_section(cfg, "verify", {"seed", "suites"})
         seed = require_integer("verify seed", section.get("seed", 0))
         names = section.get("suites")
         if names is not None and not isinstance(names, list):
@@ -331,10 +291,22 @@ def cmd_verify(args):
 def cmd_qpsk_bound(args):
     cfg = _load_config(args)
     chan = _channel_from(cfg)
-    j = _budget_from(cfg)
-    res = qpsk_bound(chan, j)
-    row = (res.i1, res.i2, res.rs, res.bound)
-    return _emit(args, res.to_json(), ("i1", "i2", "rs", "bound"), [row])
+    flat = qpsk_bound(chan, _budget_from(cfg)).to_json()
+    header = ("i1", "i2", "rs", "bound")
+    return _emit(args, flat, header, [[flat[k] for k in header]])
+
+
+COMMANDS = (
+    ("rate", cmd_rate, "exact rates of a given input", None),
+    ("achieve", cmd_achieve, "construct a positive-rate input",
+     "write the candidate sweep trace CSV here"),
+    ("optimize", cmd_optimize, "optimize the input distribution",
+     "write the per-restart trace CSV here"),
+    ("kkt-check", cmd_kkt_check, "KKT audit of a given input", None),
+    ("sweep", cmd_sweep, "rate sweep along one axis", None),
+    ("verify", cmd_verify, "run the self-check suites", None),
+    ("qpsk-bound", cmd_qpsk_bound, "QPSK rate and closed-form bound", None),
+)
 
 
 def main(argv=None):

@@ -12,7 +12,7 @@ from scipy.special import ndtr
 
 from . import channel as channel_mod
 from .errors import ValidationError
-from .util import complex_from_json, complex_to_json, require_finite, require_number
+from .util import complex_from_json, complex_to_json, json_fields, require_finite
 
 PROB_SUM_TOL = 1e-12
 
@@ -70,7 +70,7 @@ class DiscreteInput:
         if not isinstance(obj, dict) or "points" not in obj or "probs" not in obj:
             raise ValidationError(f"input config needs points/probs keys, got {obj!r}")
         pts = [complex_from_json(p, "point") for p in obj["points"]]
-        return cls(tuple(pts), tuple(require_number("probs", p) for p in obj["probs"]))
+        return cls(tuple(pts), tuple(require_finite("probs", p) for p in obj["probs"]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,7 +83,7 @@ class RateReport:
     power: float
 
     def to_json(self):
-        return {"i1": self.i1, "i2": self.i2, "rs": self.rs, "power": self.power}
+        return json_fields(self)
 
 
 def binary_entropy(p):

@@ -20,7 +20,7 @@ support condition, and a KKT stationarity check with an estimated multiplier.
 
 import logging
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -340,7 +340,7 @@ class SupportVerdict:
     message: str
 
     def to_json(self):
-        return asdict(self)
+        return json_fields(self)
 
 
 def check_support_condition(input_dist, chan):

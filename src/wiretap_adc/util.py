@@ -4,12 +4,17 @@ import math
 import numbers
 from dataclasses import fields
 
+import numpy as np
+
 from .errors import ValidationError
+
+# read as 0 or 1, or as the real part, if let through (numpy's complex64 is no complex)
+_NOT_REAL = (bool, complex, np.complexfloating)
 
 
 def require_finite(name, value):
-    """value as a float; a non-number is refused, and so is a bool rather than read as 0 or 1."""
-    if type(value) is bool:
+    """value as a float; a non-number is refused, and so are bools and complex numbers."""
+    if type(value) is not float and isinstance(value, _NOT_REAL):
         raise ValidationError(f"{name} must be a number, got {value!r}")
     try:
         finite = math.isfinite(value)
@@ -18,13 +23,6 @@ def require_finite(name, value):
     if not finite:
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return float(value)
-
-
-def require_number(name, value):
-    """A finite config number as a float; strings, nulls and bools are refused."""
-    if not isinstance(value, numbers.Real):
-        raise ValidationError(f"{name} must be a number, got {value!r}")
-    return require_finite(name, value)
 
 
 def require_integer(name, value):
@@ -68,6 +66,6 @@ def complex_from_json(obj, name="value"):
         unknown = sorted(set(obj) - {"re", "im"})
         if unknown:
             raise ValidationError(f"{name} accepts only keys 're' and 'im', got {unknown}")
-        re, im = (require_number(f"{name} {k}", obj.get(k, 0.0)) for k in ("re", "im"))
+        re, im = (require_finite(f"{name} {k}", obj.get(k, 0.0)) for k in ("re", "im"))
         return complex(re, im)
-    return complex(require_number(name, obj), 0.0)
+    return complex(require_finite(name, obj), 0.0)

@@ -17,7 +17,7 @@ non-zero exit code.
 
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -51,7 +51,7 @@ from .optimizer import (
     optimize_wyner_rate,
     reflect_input,
 )
-from .util import require_integer
+from .util import json_fields, require_integer
 
 logger = logging.getLogger(__name__)
 
@@ -65,7 +65,7 @@ class SuiteResult:
     cases: int
 
     def to_json(self):
-        return asdict(self)
+        return json_fields(self)
 
 
 def _random_adc_spec(rng):
@@ -261,8 +261,7 @@ def _limit_deviation(chan, result):
         return None, 0
     threshold = _convergence_threshold(chan, result)
     direction = _canonical_direction(chan, result.theta)
-    # real-mode result.a is already the signed point
-    near = complex(result.a * direction) if chan.mode == "complex" else complex(result.a)
+    near = result.input.points[0]
     worst = 0.0
     checked = 0
     for far_amp, far in _far_points(result.a, direction, _ray_limits(chan, direction)[1]):

@@ -294,11 +294,16 @@ BPSK = DiscreteInput((-1.0, 1.0), (0.5, 0.5))
         lambda: apply_power_constraint(achieve(make_channel()), None),
         lambda: choose_amplitude(make_channel(mode="complex")),
         lambda: crossover_probs(make_channel(mode="complex"), None, 1.0),
+        # numpy's complex scalars convert to float as their real part
+        lambda: ComplexGain(np.complex128(1 + 2j)),
+        lambda: q_function(np.complex64(1 + 2j)),
+        lambda: achieve(make_channel(), power_budget=np.clongdouble(4 + 1j)),
     ],
     ids=["ComplexGain", "kkt_check", "achieve", "q_function", "shift_thresholds",
          "folding_functions", "ComplexGain-str", "q_function-str", "achieve-str",
          "kkt_check-str", "apply_power_constraint-None", "choose_amplitude-None",
-         "crossover_probs-None"],
+         "crossover_probs-None", "ComplexGain-complex128", "q_function-complex64",
+         "achieve-clongdouble"],
 )
 def test_numbers_refuse_bools(call):
     # bool is an int subclass: True would otherwise read as 1.0; a string or

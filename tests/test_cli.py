@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -23,7 +24,8 @@ from wiretap_adc import (
     one_bit,
     one_bit_pair,
 )
-from wiretap_adc.cli import main
+from wiretap_adc import cli
+from wiretap_adc.cli import COMMANDS, main
 
 
 def worked_channel():
@@ -43,6 +45,16 @@ def one_bit_complex_channel():
         legit_adc=one_bit_pair(),
         eave_adc=one_bit_pair(),
         mode="complex",
+    )
+
+
+def equal_gain_channel():
+    return WiretapChannel(
+        w1=ComplexGain(1.0),
+        w2=ComplexGain(-1.0),
+        legit_adc=one_bit_pair(),
+        eave_adc=one_bit_pair(),
+        mode="real",
     )
 
 
@@ -458,14 +470,7 @@ class TestVerify:
 
 class TestExitCodes:
     def test_equal_gains(self, tmp_path, capsys):
-        chan = WiretapChannel(
-            w1=ComplexGain(1.0),
-            w2=ComplexGain(-1.0),
-            legit_adc=one_bit_pair(),
-            eave_adc=one_bit_pair(),
-            mode="real",
-        )
-        cfg = write_config(tmp_path, channel=chan.to_json())
+        cfg = write_config(tmp_path, channel=equal_gain_channel().to_json())
         assert main(["achieve", "--config", cfg]) == 3
         assert "error" in capsys.readouterr().err
 
@@ -516,6 +521,155 @@ class TestQpskBound:
         header, rows = parse_csv(capsys.readouterr().out)
         assert header == ["i1", "i2", "rs", "bound"]
         assert len(rows) == 1
+
+
+def c1_channel(case, mode):
+    return criterion1_channel(np.random.default_rng([1, 1, case]), mode)
+
+
+def frozen_runs(group, write):
+    """The argv lists of one group of CLI_BYTES_SHA256; write(**sections) gives a config path."""
+    worked, cplx = worked_channel().to_json(), one_bit_complex_channel().to_json()
+    dist = DiscreteInput((2.0, 4.0), (0.1, 0.9)).to_json()
+    bpsk = DiscreteInput((-2.0, 2.0), (0.5, 0.5)).to_json()
+    qpsk = DiscreteInput((1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j), (0.25,) * 4).to_json()
+    optimize = {"support_size": 3, "restarts": 2, "seed": 5}
+    c1 = [c1_channel(case, mode).to_json()
+          for case, mode in ((0, "real"), (1, "real"), (3, "real"),
+                             (0, "complex"), (2, "complex"), (28, "complex"))]
+    formats = (["--format", "json"], ["--format", "csv"])
+    if group == "rate":
+        return [
+            *(["rate", "--config", write(channel=chan, input=x), *fmt]
+              for chan, x in ((worked, dist), (cplx, qpsk)) for fmt in formats),
+            ["rate", "--config", write(channel=worked, input=dist), "--out", "rate.json"],
+        ]
+    if group == "achieve":
+        configs = [write(channel=worked), write(channel=cplx), write(channel=worked, J=2.0),
+                   write(channel=cplx, achieve={"mode": "first"}),
+                   *(write(channel=chan) for chan in c1)]
+        return [["achieve", "--config", cfg, *fmt, *trace] for cfg in configs
+                for fmt in formats for trace in ([], ["--trace", "trace.csv"])]
+    if group == "optimize":
+        configs = [write(channel=worked, J=4.0, optimize=optimize),
+                   write(channel=equal_gain_channel().to_json(), J=2.0,
+                         optimize={"support_size": 2, "restarts": 1})]
+        return [
+            *(["optimize", "--config", cfg, *fmt, *trace] for cfg in configs
+              for fmt in formats for trace in ([], ["--trace", "trace.csv"])),
+            ["optimize", "--config", configs[0], "--seed", "9"],
+        ]
+    if group == "kkt-check":
+        configs = [write(channel=worked, input=bpsk, J=4.0),
+                   write(channel=worked, input=dist, J=9.0)]
+        return [["kkt-check", "--config", cfg, *fmt] for cfg in configs for fmt in formats]
+    if group == "sweep":
+        sweeps = [{"axis": "b", "start": 1.0, "stop": 20.0, "num": 4, "scale": "log"},
+                  {"axis": "w2_mag", "start": 0.5, "stop": 3.5, "num": 3},
+                  {"axis": "J", "start": 0.5, "stop": 32.0, "num": 3, "scale": "log"}]
+        return [["sweep", "--config", write(channel=chan, sweep=sweep), *fmt]
+                for chan in (worked, cplx, *c1) for sweep in sweeps for fmt in formats]
+    if group == "verify":
+        cfg = write(verify={"seed": 3, "suites": ["closed_forms", "entropy_identity"]})
+        return [["verify", "--config", cfg, *fmt] for fmt in formats] + [
+            ["verify", "--config", cfg, "--seed", "1"]]
+    if group == "qpsk-bound":
+        return [["qpsk-bound", "--config", write(channel=cplx, J=j), *fmt]
+                for j in (0.5, 4.0) for fmt in formats]
+    if group == "errors":
+        sweep = {"axis": "b", "start": 1.0, "stop": 3.0, "num": 3}
+        return [
+            [], ["rate"], ["rate", "--format", "xml"], ["rate", "--config", "missing.json"],
+            ["rate", "--config", write(channel=worked)],
+            ["rate", "--config", write(input=dist)],
+            ["achieve", "--config", write(channel=worked, achieve={"tolerance": 1e-6})],
+            ["achieve", "--config", write(channel=worked, J="4")],
+            ["achieve", "--config", write(channel=equal_gain_channel().to_json())],
+            ["optimize", "--config", write(channel=worked, optimize=optimize)],
+            ["optimize", "--config", write(channel=worked, J=4.0, optimize=[1])],
+            ["optimize", "--config", write(channel=cplx, J=4.0)],
+            ["kkt-check", "--config", write(channel=worked, input=bpsk)],
+            ["kkt-check", "--config", write(channel=worked, input=bpsk, J=4.0, kkt={"grid": 9})],
+            ["sweep", "--config", write(channel=worked, sweep={**sweep, "axis": "sigma"})],
+            ["sweep", "--config", write(channel=worked, sweep={"axis": "b", "start": 1.0})],
+            ["sweep", "--config", write(channel=worked, sweep={**sweep, "scale": "log",
+                                                                "start": 0.0})],
+            ["sweep", "--config", write(channel=worked, sweep={**sweep, "start": 4.0})],
+            ["sweep", "--config", write(channel=worked, sweep={**sweep, "axis": "w2_mag",
+                                                                "start": 0.0})],
+            ["sweep", "--config", write(sweep=sweep)],
+            ["verify", "--config", write(verify={"suites": "kkt"})],
+            ["verify", "--config", write(verify={"suites": ["no_such_suite"]})],
+            ["verify", "--config", write(verify={"seed": -1})],
+            ["qpsk-bound", "--config", write(channel=worked, J=4.0)],
+            ["qpsk-bound", "--config", write(channel=cplx)],
+            # several faults at once: the first section a command reads reports
+            ["rate", "--config", write()],
+            ["achieve", "--config", write(achieve={"x": 1}, J="4")],
+            ["achieve", "--config", write(channel=worked, achieve={"x": 1}, J="4")],
+            ["optimize", "--config", write(optimize=[1])],
+            ["optimize", "--config", write(channel=worked, optimize={"x": 1})],
+            ["kkt-check", "--config", write(kkt={"grid": 9})],
+            ["kkt-check", "--config", write(channel=worked)],
+            ["sweep", "--config", write(channel=worked, sweep={"axis": "sigma"},
+                                        achieve={"x": 1})],
+            ["sweep", "--config", write(channel=worked, sweep=sweep, achieve={"x": 1})],
+            ["verify", "--config", write(verify={"suites": "kkt", "seed": 1.5})],
+            ["qpsk-bound", "--config", write(J="x")],
+        ]
+    assert group == "help"
+    return [["--help"]] + [[name, "--help"] for name in
+                           ("rate", "achieve", "optimize", "kkt-check", "sweep", "verify",
+                            "qpsk-bound")]
+
+
+# sha256 per group over the exit code, stdout, stderr (temp dir masked) and the
+# --trace/--out file of each run in frozen_runs; --help is laid out at 80 columns
+CLI_BYTES_SHA256 = {
+    "rate": "4c5d4a301f9961c1287fb6cd80c17cdca2f51667c61f54ccf45a78f240a23f5e",
+    "achieve": "e241d5760b4d539ecce48694480b8ce3bf19eaac9e165fcd4f664050a4a0f563",
+    "optimize": "884b0cfd5d997bc1e085e0438401d051e8c11db68ca83048e30a1bf624a8ac73",
+    "kkt-check": "2766ede375db80c69113590fd4ad06007f06684568e4616b299c3a3006b6ca59",
+    "sweep": "f4fc4d682a6cc678f8b931311d0fc049000ad423888e938d144e970b7059dbdc",
+    "verify": "29a6bc0b8198b2ace379922503852fdc08edcbd2ab7af251a2ee393bdbb515cf",
+    "qpsk-bound": "b5cc7f1ae76dc2aa2382db838a0845733cc20148c27474b7cb920651c83ef24f",
+    "errors": "e727f9ce50aa8b37bfa368030b7bc6ee6372b871b250300a0a188d0372d4c2b5",
+    "help": "2d2bbf2b727347f93b1567eadf354619cd6e60c66162554e3c976ae45b60069e",
+}
+
+
+@pytest.mark.parametrize("group", list(CLI_BYTES_SHA256))
+def test_cli_bytes_match_frozen_digest(group, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    numbers = itertools.count(1)
+
+    def write(**sections):
+        return write_config(tmp_path, f"config{next(numbers)}.json", **sections)
+
+    digest = hashlib.sha256()
+    for argv in frozen_runs(group, write):
+        for name in ("trace.csv", "rate.json"):
+            (tmp_path / name).unlink(missing_ok=True)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        files = [(tmp_path / name).read_text() if (tmp_path / name).exists() else None
+                 for name in ("trace.csv", "rate.json")]
+        run = [code, out, err.replace(str(tmp_path), "<tmp>"), *files]
+        digest.update(json.dumps(run).encode())
+    assert digest.hexdigest() == CLI_BYTES_SHA256[group]
+
+
+def test_docs_name_the_command_table():
+    names = [name for name, *_ in COMMANDS]
+    (line,) = [line for line in cli.__doc__.splitlines() if line.startswith("Subcommands:")]
+    assert line == f"Subcommands: {', '.join(names)}."
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    assert [line.split()[1] for line in block.strip().splitlines()] == names
 
 
 def test_module_entry_point(tmp_path):
