@@ -45,7 +45,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import channel as channel_mod
-from .adc import ComplexAdcPair, is_symmetric_one_bit, one_bit_pair, shift_thresholds
+from .adc import ComplexAdcPair, one_bit_pair, shift_thresholds
 from .errors import EqualGainError, SweepExhaustedError, ValidationError
 from .infotheory import (
     DiscreteInput,
@@ -196,11 +196,8 @@ def _ray_axes(chan, receiver, direction):
     unit ray e^{j*psi} in complex mode (two axes), or +/-1.0 in real mode
     (the real axis only).
     """
-    pair = chan.adc_for(receiver)
     wd = chan.gain_for(receiver).value * direction
-    if chan.mode == "real":
-        return ((wd.real, pair.real_part),)
-    return ((wd.real, pair.real_part), (wd.imag, pair.imag_part))
+    return zip((wd.real, wd.imag), channel_mod._receiver_specs(chan, (receiver,)))
 
 
 def _ray_limits(chan, direction):
@@ -240,7 +237,7 @@ def crossover_probs(chan, theta, a):
     near point, so they match those products up to final rounding.
     """
     a = require_finite("a", a)
-    if not chan.has_symmetric_one_bit_legit():
+    if not chan.has_symmetric_one_bit("legit"):
         raise ValidationError("crossover_probs needs a symmetric one-bit legitimate receiver")
     if chan.mode == "complex":
         theta = _require_theta(theta)
@@ -265,14 +262,11 @@ def choose_amplitude(chan, theta=None):
     s = chan.w2.magnitude - chan.w1.magnitude
     if s == 0.0:
         raise EqualGainError("equal gain magnitudes: |w1| == |w2|")
-    if chan.mode == "real":
-        bound = chan.eave_adc.real_part.thresholds[-1] / s
-    else:
-        theta = _require_theta(theta)
-        top_r = chan.eave_adc.real_part.thresholds[-1]
-        top_i = chan.eave_adc.imag_part.thresholds[-1]
-        cands = (top_r / (s * math.cos(theta)), top_i / (s * math.sin(theta)))
-        bound = max(cands) if s > 0.0 else min(cands)
+    theta = _require_theta(theta) if chan.mode == "complex" else 0.0
+    specs = channel_mod._receiver_specs(chan, ("eave",))  # real mode: one axis, share cos 0 = 1
+    shares = (math.cos(theta), math.sin(theta))
+    cands = [spec.thresholds[-1] / (s * share) for spec, share in zip(specs, shares)]
+    bound = max(cands) if s > 0.0 else min(cands)
     return bound + math.copysign(max(1.0, abs(bound)), s)
 
 
@@ -405,7 +399,7 @@ def construct_positive_rate(chan, options=None):
     diagnostics) when no candidate clears RATE_FLOOR.
     """
     options = options or ConstructOptions()
-    if not chan.has_symmetric_one_bit_legit():
+    if not chan.has_symmetric_one_bit("legit"):
         raise ValidationError(
             "construct_positive_rate needs a symmetric one-bit legitimate receiver; "
             "apply reduce_to_symmetric first"
@@ -641,9 +635,8 @@ def qpsk_bound(chan, power_budget):
     j = require_budget(power_budget)
     if chan.mode != "complex":
         raise ValidationError("qpsk_bound needs a complex-mode channel")
-    for pair in (chan.legit_adc, chan.eave_adc):
-        if not (is_symmetric_one_bit(pair.real_part) and is_symmetric_one_bit(pair.imag_part)):
-            raise ValidationError("qpsk_bound needs symmetric one-bit ADC pairs at both receivers")
+    if not all(chan.has_symmetric_one_bit(receiver) for receiver in channel_mod.RECEIVERS):
+        raise ValidationError("qpsk_bound needs symmetric one-bit ADC pairs at both receivers")
     amp = math.sqrt(j / 2.0)
     rot = cmath.rect(1.0, -chan.w1.phase)
     input_dist = DiscreteInput(
@@ -668,7 +661,7 @@ def achieve(chan, options=None, power_budget=None):
     a reduction was applied.
     """
     options = options or ConstructOptions()
-    if chan.has_symmetric_one_bit_legit():
+    if chan.has_symmetric_one_bit("legit"):
         result = construct_positive_rate(chan, options)
     else:
         reduced, translation = reduce_to_symmetric(chan)

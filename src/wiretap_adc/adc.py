@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .util import require_finite
+from .util import json_array, json_object, require_finite
 
 # Joint transition rows have k_R * k_I entries; 4096 per component keeps them
 # desk-sized.
@@ -55,11 +55,11 @@ class AdcSpec:
         return {"thresholds": list(self.thresholds), "outputs": list(self.outputs)}
 
     @classmethod
-    def from_json(cls, obj):
-        if not isinstance(obj, dict) or "thresholds" not in obj or "outputs" not in obj:
-            raise ValidationError(f"ADC spec needs thresholds/outputs keys, got {obj!r}")
+    def from_json(cls, obj, name="ADC spec"):
         keys = ("thresholds", "outputs")
-        return cls(*(tuple(require_finite(key, v) for v in obj[key]) for key in keys))
+        json_object(obj, name, required=keys)
+        return cls(*(tuple(require_finite(f"{name} {key}", v)
+                           for v in json_array(obj[key], f"{name} {key}")) for key in keys))
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,14 +77,14 @@ class ComplexAdcPair:
         return {"real": self.real_part.to_json(), "imag": self.imag_part.to_json()}
 
     @classmethod
-    def from_json(cls, obj):
+    def from_json(cls, obj, name="ADC pair"):
         if isinstance(obj, dict) and "thresholds" in obj:
             # convenience: a bare scalar spec is applied to both components
-            spec = AdcSpec.from_json(obj)
+            spec = AdcSpec.from_json(obj, name)
             return cls(spec, spec)
-        if not isinstance(obj, dict) or "real" not in obj or "imag" not in obj:
-            raise ValidationError(f"ADC pair needs real/imag keys, got {obj!r}")
-        return cls(AdcSpec.from_json(obj["real"]), AdcSpec.from_json(obj["imag"]))
+        json_object(obj, name, required=("real", "imag"))
+        return cls(AdcSpec.from_json(obj["real"], f"{name} real"),
+                   AdcSpec.from_json(obj["imag"], f"{name} imag"))
 
 
 def one_bit():

@@ -11,6 +11,10 @@ edge layout (_edge_layout): the edge array, each ADC's edge count, the cell
 columns kept and each ADC's block of them.  A layout depends only on the ADCs,
 so a caller that builds rows of one channel again and again (a construction)
 derives it once and passes it to _rows.
+
+Two input rules live in one place each: _receiver_specs says which quantizers
+a mode reads (real mode: each receiver's in-phase ADC; complex mode: both), and
+_rows refuses a non-real input to a real-mode rate call; elsewhere DiscreteInput.real_points does.
 """
 
 import logging
@@ -23,7 +27,7 @@ from scipy.special import ndtr
 
 from .adc import ComplexAdcPair, is_symmetric_one_bit
 from .errors import ValidationError
-from .util import complex_from_json, json_fields, require_finite
+from .util import complex_from_json, json_fields, json_object, require_finite
 
 logger = logging.getLogger(__name__)
 
@@ -93,12 +97,9 @@ class WiretapChannel:
             raise ValidationError(f"receiver must be one of {RECEIVERS}, got {receiver!r}")
         return self.w1 if receiver == "legit" else self.w2
 
-    def has_symmetric_one_bit_legit(self):
-        if self.mode == "real":
-            return is_symmetric_one_bit(self.legit_adc.real_part)
-        return is_symmetric_one_bit(self.legit_adc.real_part) and is_symmetric_one_bit(
-            self.legit_adc.imag_part
-        )
+    def has_symmetric_one_bit(self, receiver):
+        """Whether every quantizer the receiver reads in this mode is the sign quantizer."""
+        return all(is_symmetric_one_bit(spec) for spec in _receiver_specs(self, (receiver,)))
 
     def to_json(self):
         return {
@@ -111,16 +112,12 @@ class WiretapChannel:
 
     @classmethod
     def from_json(cls, obj):
-        if not isinstance(obj, dict):
-            raise ValidationError(f"channel config must be an object, got {obj!r}")
-        missing = {"mode", "w1", "w2", "legit_adc", "eave_adc"} - set(obj)
-        if missing:
-            raise ValidationError(f"channel config missing keys: {sorted(missing)}")
+        json_object(obj, "channel", required=("mode", "w1", "w2", "legit_adc", "eave_adc"))
         return cls(
             w1=ComplexGain.from_json(obj["w1"], "w1"),
             w2=ComplexGain.from_json(obj["w2"], "w2"),
-            legit_adc=ComplexAdcPair.from_json(obj["legit_adc"]),
-            eave_adc=ComplexAdcPair.from_json(obj["eave_adc"]),
+            legit_adc=ComplexAdcPair.from_json(obj["legit_adc"], "legit_adc"),
+            eave_adc=ComplexAdcPair.from_json(obj["eave_adc"], "eave_adc"),
             mode=obj["mode"],
         )
 

@@ -2,7 +2,9 @@
 
 Subcommands: rate, achieve, optimize, kkt-check, sweep, verify, qpsk-bound.
 COMMANDS is the one place that knows each command: its name, handler, help
-line and --trace help.  Inputs come from a JSON config file; results go to
+line, --trace help and whether --seed applies.  Inputs come from a JSON config
+file, every object and array of which is read through util.json_object and
+util.json_array: an unknown key or section anywhere exits 2.  Results go to
 stdout or --out as JSON (default) or CSV.  Exit codes: 0 success, 1
 verification failure, 2 validation error, 3 equal-gain precondition, 4 sweep
 exhausted.  Sweeps evaluate their grid in order, so one config gives the same
@@ -10,7 +12,6 @@ bytes every run.
 """
 
 import argparse
-import cmath
 import csv
 import io
 import json
@@ -34,15 +35,16 @@ from .optimizer import (
     kkt_check,
     optimize_wyner_rate,
 )
-from .util import require_finite, require_integer
+from .util import json_array, json_object, require_finite, require_integer
 
 _SWEEP_AXES = ("b", "w2_mag", "J")
+# every section any command reads; README's shared config holds them all
+_SECTIONS = ("channel", "input", "J", "achieve", "optimize", "kkt", "sweep", "verify")
 
 
 def _parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a JSON config file")
-    common.add_argument("--seed", type=int, help="override the config seed")
     common.add_argument("--out", help="write the result here instead of stdout")
     common.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -51,8 +53,10 @@ def _parser():
         description="Secrecy rates of Gaussian wiretap channels with finite-resolution ADCs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler, help_text, trace_help in COMMANDS:
+    for name, handler, help_text, trace_help, seeded in COMMANDS:
         p = sub.add_parser(name, parents=[common], help=help_text)
+        if seeded:
+            p.add_argument("--seed", type=int, help="override the config seed")
         if trace_help:
             p.add_argument("--trace", help=trace_help)
         p.set_defaults(handler=handler, trace=None)
@@ -63,10 +67,7 @@ def _load_config(args):
     if not args.config:
         raise ValidationError("this command needs --config <path>")
     with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValidationError("config root must be a JSON object")
-    return cfg
+        return json_object(json.load(fh), "config root", optional=_SECTIONS)
 
 
 def _required(cfg, key, what, parse):
@@ -88,19 +89,14 @@ def _budget_from(cfg):
     return _required(cfg, "J", "the power budget 'J'", lambda j: require_finite("J", j))
 
 
-def _options_section(cfg, name, keys):
-    """A copy of the config's options section `name`, rejecting keys outside `keys`."""
-    section = cfg.get(name, {})
-    if not isinstance(section, dict):
-        raise ValidationError(f"config section {name!r} must be a JSON object, got {section!r}")
-    unknown = set(section) - keys
-    if unknown:
-        raise ValidationError(f"unknown {name} options: {sorted(unknown)}")
-    return dict(section)
+def _options_section(cfg, name, required=(), optional=()):
+    """A copy of config section `name` (absent reads as {}), checked by json_object."""
+    return dict(json_object(cfg.get(name, {}), f"config section {name!r}", required, optional))
 
 
 def _construct_options(cfg, keep_trace=False):
-    return ConstructOptions(keep_trace=keep_trace, **_options_section(cfg, "achieve", {"mode"}))
+    return ConstructOptions(keep_trace=keep_trace,
+                            **_options_section(cfg, "achieve", optional=("mode",)))
 
 
 def _write_text(path, text):
@@ -149,7 +145,7 @@ def cmd_optimize(args):
     cfg = _load_config(args)
     chan = _channel_from(cfg)
     j = _budget_from(cfg)
-    section = _options_section(cfg, "optimize", {f.name for f in fields(OptimizeConfig)})
+    section = _options_section(cfg, "optimize", optional=[f.name for f in fields(OptimizeConfig)])
     if args.seed is not None:
         section["seed"] = args.seed
     config = OptimizeConfig(**section)
@@ -171,7 +167,7 @@ def cmd_optimize(args):
 
 def cmd_kkt_check(args):
     cfg = _load_config(args)
-    _options_section(cfg, "kkt", set())  # no options: the grid is optimizer.KKT_GRID_POINTS
+    _options_section(cfg, "kkt")  # no options: the grid is optimizer.KKT_GRID_POINTS
     chan = _channel_from(cfg)
     dist = _input_from(cfg)
     flat = kkt_check(chan, dist, _budget_from(cfg)).to_json()
@@ -180,16 +176,14 @@ def cmd_kkt_check(args):
     return _emit(args, flat, header, [[flat[k] for k in header]])
 
 
-def _sweep_grid(section):
-    axis = section.get("axis")
+def _sweep_grid(cfg):
+    section = _options_section(cfg, "sweep", ("axis", "start", "stop", "num"), ("scale",))
+    axis = section["axis"]
     if axis not in _SWEEP_AXES:
         raise ValidationError(f"sweep axis must be one of {_SWEEP_AXES}, got {axis!r}")
-    try:
-        start = require_finite("sweep start", section["start"])
-        stop = require_finite("sweep stop", section["stop"])
-        num = require_integer("sweep num", section["num"])
-    except KeyError as missing:
-        raise ValidationError(f"sweep section is missing {missing}") from None
+    start = require_finite("sweep start", section["start"])
+    stop = require_finite("sweep stop", section["stop"])
+    num = require_integer("sweep num", section["num"])
     scale = section.get("scale", "linear")
     if scale not in ("linear", "log"):
         raise ValidationError(f"sweep scale must be 'linear' or 'log', got {scale!r}")
@@ -212,24 +206,16 @@ def _sweep_grid(section):
 def cmd_sweep(args):
     cfg = _load_config(args)
     chan = _channel_from(cfg)
-    section = _options_section(cfg, "sweep", {"axis", "start", "stop", "num", "scale"})
-    axis, values = _sweep_grid(section)
+    axis, values = _sweep_grid(cfg)
     options = _construct_options(cfg)
 
     if axis == "b":
         result = achieve(chan, options)
-        if chan.mode == "complex":
-            unit = far_unit = cmath.rect(1.0, result.capital_phi)
-            if result.ray is None:
-                # a split pair's far point lies half a quarter-turn past the a-point's ray
-                far_unit = cmath.rect(1.0, result.capital_phi + math.pi / 4.0)
-        else:
-            unit = far_unit = 1.0
-        sign = 1.0 if result.b >= 0.0 else -1.0
-        near = complex(result.a * unit) + result.translation
+        near, far0 = result.input.points
+        t = result.translation
 
         def run_one(val):
-            far = complex(sign * val * far_unit) + result.translation
+            far = t + (far0 - t) * (val / abs(result.b))  # far0 moved along its ray to |b| = val
             if far == near:
                 return (val, 0.0, 0.0, 0.0, result.limit_rate)
             i1, i2 = _rate_arrays(chan, (near, far), (result.phi, 1.0 - result.phi))
@@ -245,7 +231,10 @@ def cmd_sweep(args):
                 gain = ComplexGain(math.copysign(val, chan.w2.re))
             else:
                 gain = ComplexGain(val * math.cos(phase), val * math.sin(phase))
-            res = achieve(replace(chan, w2=gain), options)
+            try:
+                res = achieve(replace(chan, w2=gain), options)
+            except EqualGainError:  # |w2| == |w1|: no construction, a null row
+                return (val, None, None, None, None)
             rr = res.exact_rate
             return (val, rr.i1, rr.i2, rr.rs, res.limit_rate)
 
@@ -265,15 +254,11 @@ def cmd_sweep(args):
 
 
 def cmd_verify(args):
-    seed = 0
-    names = None
+    section = {}
     if args.config:
-        cfg = _load_config(args)
-        section = _options_section(cfg, "verify", {"seed", "suites"})
-        seed = require_integer("verify seed", section.get("seed", 0))
-        names = section.get("suites")
-        if names is not None and not isinstance(names, list):
-            raise ValidationError(f"verify suites must be a list of suite names, got {names!r}")
+        section = _options_section(_load_config(args), "verify", optional=("seed", "suites"))
+    seed = require_integer("verify seed", section.get("seed", 0))
+    names = json_array(section["suites"], "verify suites") if "suites" in section else None
     if args.seed is not None:
         seed = args.seed
     results = verification.run_verification(seed=seed, names=names)
@@ -296,16 +281,16 @@ def cmd_qpsk_bound(args):
     return _emit(args, flat, header, [[flat[k] for k in header]])
 
 
-COMMANDS = (
-    ("rate", cmd_rate, "exact rates of a given input", None),
+COMMANDS = (  # (name, handler, help, --trace help or None, whether --seed applies)
+    ("rate", cmd_rate, "exact rates of a given input", None, False),
     ("achieve", cmd_achieve, "construct a positive-rate input",
-     "write the candidate sweep trace CSV here"),
+     "write the candidate sweep trace CSV here", False),
     ("optimize", cmd_optimize, "optimize the input distribution",
-     "write the per-restart trace CSV here"),
-    ("kkt-check", cmd_kkt_check, "KKT audit of a given input", None),
-    ("sweep", cmd_sweep, "rate sweep along one axis", None),
-    ("verify", cmd_verify, "run the self-check suites", None),
-    ("qpsk-bound", cmd_qpsk_bound, "QPSK rate and closed-form bound", None),
+     "write the per-restart trace CSV here", True),
+    ("kkt-check", cmd_kkt_check, "KKT audit of a given input", None, False),
+    ("sweep", cmd_sweep, "rate sweep along one axis", None, False),
+    ("verify", cmd_verify, "run the self-check suites", None, True),
+    ("qpsk-bound", cmd_qpsk_bound, "QPSK rate and closed-form bound", None, False),
 )
 
 
@@ -320,7 +305,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         print(json.dumps(exc.diagnostics, indent=2, sort_keys=True), file=sys.stderr)
         return 4
-    except (ValidationError, ValueError, KeyError, TypeError, OverflowError, OSError) as exc:
+    except (ValidationError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,8 @@ from scipy.special import ndtr
 
 from . import channel as channel_mod
 from .errors import ValidationError
-from .util import complex_from_json, complex_to_json, json_fields, require_finite
+from .util import (complex_from_json, complex_to_json, json_array, json_fields, json_object,
+                   require_finite)
 
 PROB_SUM_TOL = 1e-12
 
@@ -50,12 +51,9 @@ class DiscreteInput:
     def power(self):
         return float(math.fsum(p * abs(z) ** 2 for z, p in zip(self.points, self.probs)))
 
-    @property
-    def is_real(self):
-        return all(z.imag == 0.0 for z in self.points)
-
     def real_points(self):
-        if not self.is_real:
+        """The points as a float array: the one check that an input is real."""
+        if any(z.imag != 0.0 for z in self.points):
             raise ValidationError("input has non-real support points")
         return np.array([z.real for z in self.points])
 
@@ -67,10 +65,10 @@ class DiscreteInput:
 
     @classmethod
     def from_json(cls, obj):
-        if not isinstance(obj, dict) or "points" not in obj or "probs" not in obj:
-            raise ValidationError(f"input config needs points/probs keys, got {obj!r}")
-        pts = [complex_from_json(p, "point") for p in obj["points"]]
-        return cls(tuple(pts), tuple(require_finite("probs", p) for p in obj["probs"]))
+        json_object(obj, "input", required=("points", "probs"))
+        pts = [complex_from_json(p, "point") for p in json_array(obj["points"], "input points")]
+        probs = json_array(obj["probs"], "input probs")
+        return cls(tuple(pts), tuple(require_finite("probs", p) for p in probs))
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,8 +146,6 @@ def _rate_arrays(chan, points, probs):
 
 def secrecy_rate(chan, input_dist):
     """Exact RateReport for one channel and input; rs = i1 - i2."""
-    if chan.mode == "real" and not input_dist.is_real:
-        raise ValidationError("real-mode channel requires a real input")
     i1, i2 = _rate_arrays(chan, input_dist.points, input_dist.probs)
     return RateReport(i1=i1, i2=i2, rs=i1 - i2, power=input_dist.power)
 
@@ -189,8 +185,6 @@ def folding_functions(input_dist, w):
     w = require_finite("w", w)
     if w <= 0.0:
         raise ValidationError(f"folding_functions needs w > 0, got {w!r}")
-    if not input_dist.is_real:
-        raise ValidationError("folding_functions needs a real-mode input")
     x = input_dist.real_points()
     p = np.asarray(input_dist.probs, dtype=float)
     q_folded = float(p @ ndtr(-w * np.abs(x)))   # E[Q(w|X|)]

@@ -24,7 +24,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .adc import is_symmetric_one_bit
 from .channel import RECEIVERS, _cell_slopes
 from .errors import EqualGainError, SweepExhaustedError, ValidationError
 from .infotheory import (
@@ -280,16 +279,14 @@ def optimize_wyner_rate(chan, power_budget, config=None):
     return OptimizeResult(input=best[1], report=best[2], power_budget=j, trace=tuple(trace))
 
 
-def _moved_input(input_dist, name, move):
-    """Send the mass p of each point x to the (point, mass) pairs move(|x|, p).
+def _moved_input(input_dist, move):
+    """Send the mass p of each point x of a real input to the (point, mass) pairs move(|x|, p).
 
     Exactly equal points merge; the result is sorted ascending.
     """
-    if not input_dist.is_real:
-        raise ValidationError(f"{name} needs a real input distribution")
     mass = {}
-    for z, p in zip(input_dist.points, input_dist.probs):
-        for x, share in move(abs(z.real), p):
+    for z, p in zip(input_dist.real_points().tolist(), input_dist.probs):
+        for x, share in move(abs(z), p):
             mass[x] = mass.get(x, 0.0) + share
     xs = sorted(mass)
     return DiscreteInput(tuple(complex(x) for x in xs), tuple(mass[x] for x in xs))
@@ -297,15 +294,13 @@ def _moved_input(input_dist, name, move):
 
 def fold_input(input_dist):
     """Push a real input onto its magnitudes; equal ones merge, sorted ascending."""
-    return _moved_input(input_dist, "fold_input", lambda x, p: ((x, p),))
+    return _moved_input(input_dist, lambda x, p: ((x, p),))
 
 
 def reflect_input(input_dist):
     """Split each nonzero point's mass evenly over +|x| and -|x|; sorted ascending."""
     return _moved_input(
-        input_dist,
-        "reflect_input",
-        lambda x, p: ((x, p),) if x == 0.0 else ((x, p / 2.0), (-x, p / 2.0)),
+        input_dist, lambda x, p: ((x, p),) if x == 0.0 else ((x, p / 2.0), (-x, p / 2.0))
     )
 
 
@@ -318,9 +313,8 @@ def folding_gap(chan, input_dist):
     gain ordering.
     """
     _require_real(chan, "folding_gap")
-    for receiver in ("legit", "eave"):
-        if not is_symmetric_one_bit(chan.adc_for(receiver).real_part):
-            raise ValidationError("folding_gap needs symmetric one-bit ADCs at both receivers")
+    if not all(chan.has_symmetric_one_bit(receiver) for receiver in RECEIVERS):
+        raise ValidationError("folding_gap needs symmetric one-bit ADCs at both receivers")
     if len(input_dist.points) < 2:
         raise ValidationError("folding_gap needs an input with at least two points")
     original = secrecy_rate(chan, input_dist)
@@ -352,11 +346,9 @@ def check_support_condition(input_dist, chan):
     scale) count as zero.
     """
     _require_real(chan, "check_support_condition")
-    if not input_dist.is_real:
-        raise ValidationError("check_support_condition needs a real input distribution")
+    xs = input_dist.real_points()
     if chan.w1.magnitude == chan.w2.magnitude:
         raise EqualGainError("support condition is undefined for equal gain magnitudes")
-    xs = input_dist.real_points()
     snap = 1e-12 * max(1.0, float(np.max(np.abs(xs))))
     n_zero = int(np.sum(np.abs(xs) <= snap))
     n_pos = int(np.sum(xs > snap))
@@ -417,12 +409,10 @@ def kkt_check(chan, input_dist, power_budget):
     stationarity residual, and the complementary slackness residual.
     """
     _require_real(chan, "kkt_check")
-    if not input_dist.is_real:
-        raise ValidationError("kkt_check needs a real input distribution")
+    xs = input_dist.real_points()
     j = require_budget(power_budget)
 
     probs = np.asarray(input_dist.probs)
-    xs = input_dist.real_points()
     n = len(xs)
     mean_square = float(np.dot(probs, xs * xs))
     radius = 3.0 * max(float(np.max(np.abs(xs))), math.sqrt(j), 1.0)

@@ -1,4 +1,7 @@
-"""Small shared helpers: number, integer and power-budget checks, JSON coding."""
+"""Small shared helpers: number, integer and power-budget checks, JSON coding.
+
+Every from_json and the CLI check config objects and arrays with json_object and json_array.
+"""
 
 import math
 import numbers
@@ -60,12 +63,29 @@ def json_fields(obj, skip=()):
     return out
 
 
+def json_object(obj, what, required=(), optional=()):
+    """obj if it is a JSON object holding every key of required and none outside both."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {obj!r}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ValidationError(f"{what} is missing keys {missing}")
+    allowed = [*required, *optional]
+    unknown = [key for key in obj if key not in allowed]
+    if unknown:
+        raise ValidationError(f"{what} accepts only keys {allowed}, got {unknown}")
+    return obj
+
+
+def json_array(value, what):
+    if not isinstance(value, list):
+        raise ValidationError(f"{what} must be a JSON array, got {value!r}")
+    return value
+
+
 def complex_from_json(obj, name="value"):
-    """Accepts {"re":..,"im":..} (im defaults to 0) or a bare number; other keys are refused."""
+    """Accepts {"re":..,"im":..} (im defaults to 0) or a bare number."""
     if isinstance(obj, dict):
-        unknown = sorted(set(obj) - {"re", "im"})
-        if unknown:
-            raise ValidationError(f"{name} accepts only keys 're' and 'im', got {unknown}")
-        re, im = (require_finite(f"{name} {k}", obj.get(k, 0.0)) for k in ("re", "im"))
-        return complex(re, im)
+        json_object(obj, name, optional=("re", "im"))
+        return complex(*(require_finite(f"{name} {k}", obj.get(k, 0.0)) for k in ("re", "im")))
     return complex(require_finite(name, obj), 0.0)

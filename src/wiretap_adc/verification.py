@@ -279,7 +279,7 @@ def _suite_limit_convergence(rng):
     while cases < 4 and attempts < 20:
         attempts += 1
         chan = _safe_channel(rng, "complex" if attempts % 2 else "real")
-        if not chan.has_symmetric_one_bit_legit():
+        if not chan.has_symmetric_one_bit("legit"):
             continue
         # exhaustions and "searched" results have no limit to check
         try:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from helpers import criterion1_channel
 from wiretap_adc import (
@@ -64,6 +65,45 @@ def write_config(tmp_path, name="config.json", **sections):
     return str(path)
 
 
+def set_node(tree, path, value):
+    """tree with the node at path (a key or index per level) replaced by value."""
+    if not path:
+        return value
+    *parents, leaf = path
+    node = tree
+    for key in parents:
+        node = node[key]
+    node[leaf] = value
+    return tree
+
+
+def rate_sections():
+    """A valid `rate` config: the worked channel and a two-point input."""
+    dist = DiscreteInput((2.0, 4.0), (0.1, 0.9))
+    return {"channel": worked_channel().to_json(), "input": dist.to_json()}
+
+
+def json_paths(node, prefix=()):
+    """The path of every node of a JSON tree, the root's () first."""
+    yield prefix
+    children = ()
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    for key, child in children:
+        yield from json_paths(child, (*prefix, key))
+
+
+# null, bools, numbers (NaN and infinities too), strings, and arrays and objects of them
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
@@ -71,10 +111,7 @@ def parse_csv(text):
 
 class TestRate:
     def make_config(self, tmp_path):
-        dist = DiscreteInput((2.0, 4.0), (0.1, 0.9))
-        return write_config(
-            tmp_path, channel=worked_channel().to_json(), input=dist.to_json()
-        )
+        return write_config(tmp_path, **rate_sections())
 
     def test_json_output(self, tmp_path, capsys):
         assert main(["rate", "--config", self.make_config(tmp_path)]) == 0
@@ -222,7 +259,8 @@ class TestKktCheck:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(body)[:-1] + f', "kkt": {section}}}', encoding="utf-8")
         assert main(["kkt-check", "--config", str(path)]) == 2
-        assert "unknown kkt options: ['grid_points']" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config section 'kkt' accepts only keys [], got ['grid_points']" in err
 
     def test_needs_budget(self, tmp_path, capsys):
         dist = DiscreteInput((1.0,), (1.0,))
@@ -250,20 +288,31 @@ class TestSweep:
         last = payload["rows"][-1]
         assert abs(last[3] - last[4]) < abs(payload["rows"][0][3] - last[4])
 
-    def test_split_pair_far_point_keeps_its_own_ray(self, tmp_path, capsys):
-        # C1 complex config 28 ends in a split pair: its far point lies half a
-        # quarter-turn past the a-point's ray, so at |b| the sweep is the result
-        chan = criterion1_channel(np.random.default_rng([1, 1, 28]), "complex")
-        result = achieve(chan)
-        assert result.ray is None
-        b = abs(result.b)
-        sweep = {"axis": "b", "start": b, "stop": b, "num": 1}
-        cfg = write_config(tmp_path, channel=chan.to_json(), sweep=sweep)
+    def test_far_point_sweep_at_its_own_amplitude_is_the_result(self, tmp_path, capsys):
+        # the row at |b| rates the result's own points, so it matches exact_rate bit for
+        # bit; config 28 ends in a split pair, whose far point lies half a quarter-turn
+        # past the a-point's ray
+        assert achieve(criterion1_channel(np.random.default_rng([1, 1, 28]), "complex")).ray is None
+        for case in range(40):
+            chan = criterion1_channel(np.random.default_rng([1, 1, case]), "complex")
+            result = achieve(chan)
+            b = abs(result.b)
+            sweep = {"axis": "b", "start": b, "stop": b, "num": 1}
+            cfg = write_config(tmp_path, channel=chan.to_json(), sweep=sweep)
+            assert main(["sweep", "--config", cfg]) == 0
+            (row,) = json.loads(capsys.readouterr().out)["rows"]
+            assert row[:3] == [b, result.exact_rate.i1, result.exact_rate.i2], case
+
+    def test_eavesdropper_gain_axis_at_equal_magnitudes_is_a_null_row(self, tmp_path, capsys):
+        # |w1| = 2 lies on the grid: that row has no construction, the others keep theirs
+        sweep = {"axis": "w2_mag", "start": 0.5, "stop": 3.5, "num": 3}
+        cfg = write_config(tmp_path, channel=one_bit_complex_channel().to_json(), sweep=sweep)
         assert main(["sweep", "--config", cfg]) == 0
-        (row,) = json.loads(capsys.readouterr().out)["rows"]
-        assert row[0] == b
-        assert row[1] == pytest.approx(result.exact_rate.i1, rel=0.0, abs=1e-12)
-        assert row[2] == pytest.approx(result.exact_rate.i2, rel=0.0, abs=1e-12)
+        first, equal, last = json.loads(capsys.readouterr().out)["rows"]
+        assert equal == [2.0, None, None, None, None]
+        assert first[3] > 0.0 and last[3] > 0.0
+        assert main(["sweep", "--config", cfg, "--format", "csv"]) == 0
+        assert parse_csv(capsys.readouterr().out)[1][1] == ["2.0", "", "", "", ""]
 
     def test_budget_axis_csv(self, tmp_path, capsys):
         cfg = write_config(
@@ -340,7 +389,9 @@ class TestConfigSections:
     def test_unknown_keys_rejected(self, tmp_path, capsys, command, section, value):
         cfg = self.write(tmp_path, **{section: value})
         assert main([command, "--config", cfg]) == 2
-        assert f"unknown {section} options" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config section '{section}' accepts only keys" in err
+        assert f"got [{[*value][-1]!r}]" in err  # the section's last key is the unknown one
 
     @pytest.mark.parametrize(
         "command, sections, message",
@@ -382,31 +433,24 @@ class TestConfigSections:
     def test_channel_and_input_numbers_refuse_bools(self, tmp_path, capsys, path, message):
         dist = DiscreteInput((0.0, 2.0), (0.0, 1.0))  # a true prob would read as 1.0
         sections = {"channel": worked_channel().to_json(), "input": dist.to_json()}
-        *parents, leaf = path
-        node = sections
-        for key in parents:
-            node = node[key]
-        node[leaf] = True
+        set_node(sections, path, True)
         assert main(["rate", "--config", write_config(tmp_path, **sections)]) == 2
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "path, value, message",
         [
-            (("channel", "w1"), {"re": 2.0, "img": 1.0}, "w1 accepts only keys 're' and 'im'"),
+            (("channel", "w1"), {"re": 2.0, "img": 1.0},
+             "w1 accepts only keys ['re', 'im'], got ['img']"),
             (("input", "points", 0), {"re": 1.0, "imag": 1.0},
-             "point accepts only keys 're' and 'im'"),
+             "point accepts only keys ['re', 'im'], got ['imag']"),
         ],
     )
     def test_complex_numbers_refuse_unknown_keys(self, tmp_path, capsys, path, value, message):
         # a misspelt imaginary part must not read as 0
         dist = DiscreteInput((0.0, 2.0), (0.5, 0.5))
         sections = {"channel": worked_channel().to_json(), "input": dist.to_json()}
-        *parents, leaf = path
-        node = sections
-        for key in parents:
-            node = node[key]
-        node[leaf] = value
+        set_node(sections, path, value)
         assert main(["rate", "--config", write_config(tmp_path, **sections)]) == 2
         assert message in capsys.readouterr().err
 
@@ -420,8 +464,54 @@ class TestConfigSections:
         cfg = self.write(tmp_path, verify={"suites": "kkt"})
         assert main(["verify", "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert "verify suites must be a list" in err
+        assert "verify suites must be a JSON array" in err
         assert "'k'" not in err
+
+    @pytest.mark.parametrize(
+        "path, value, what, key",
+        [
+            (("channel", "noise_variance"), 4.0, "channel", "noise_variance"),
+            (("channel", "eave_adc", "real", "bits"), 2, "eave_adc real", "bits"),
+            (("channel", "eave_adc", "joint"), True, "eave_adc", "joint"),
+            (("channel", "legit_adc"), {**one_bit().to_json(), "real": {}}, "legit_adc", "real"),
+            (("input", "weights"), [0.5, 0.5], "input", "weights"),
+            (("optimise",), {"restarts": 2}, "config root", "optimise"),
+        ],
+        ids=["channel", "adc_spec", "adc_pair", "bare_spec", "input", "root"],
+    )
+    def test_every_object_refuses_unknown_keys(self, tmp_path, capsys, path, value, what, key):
+        # a key outside an object's schema would otherwise describe another channel or search
+        cfg = write_config(tmp_path, **set_node(rate_sections(), path, value))
+        assert main(["rate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {what} accepts only keys" in err
+        assert f"got [{key!r}]" in err
+
+    def test_arrays_must_be_json_arrays(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **set_node(rate_sections(), ("input", "points"), 2.0))
+        assert main(["rate", "--config", cfg]) == 2
+        assert "error: input points must be a JSON array, got 2.0" in capsys.readouterr().err
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_json_value_anywhere_exits_0_or_2(self, tmp_path, capsys, data):
+        # main's exit-2 list names no KeyError or TypeError: the reader must refuse every shape
+        path = data.draw(st.sampled_from(list(json_paths(rate_sections()))), label="path")
+        value = data.draw(JSON_VALUES, label="value")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(set_node(rate_sections(), path, value)), encoding="utf-8")
+        assert main(["rate", "--config", str(config)]) in (0, 2)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["rate", "kkt-check"])
+    def test_readme_config_runs(self, tmp_path, capsys, command):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "config.json"
+        path.write_text(block, encoding="utf-8")
+        assert main([command, "--config", str(path)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 # sha256 of what `wiretap-adc verify --seed 0` prints
@@ -616,6 +706,11 @@ def frozen_runs(group, write):
             ["sweep", "--config", write(channel=worked, sweep=sweep, achieve={"x": 1})],
             ["verify", "--config", write(verify={"suites": "kkt", "seed": 1.5})],
             ["qpsk-bound", "--config", write(J="x")],
+            # a key outside its object's schema, a number for an array, --seed off its commands
+            ["rate", "--config", write(channel={**worked, "noise_variance": 4.0}, input=dist)],
+            ["rate", "--config", write(channel=worked, input=dist, optimise={"restarts": 2})],
+            ["rate", "--config", write(channel=worked, input={**dist, "points": 2.0})],
+            ["rate", "--seed", "7"],
         ]
     assert group == "help"
     return [["--help"]] + [[name, "--help"] for name in
@@ -630,11 +725,11 @@ CLI_BYTES_SHA256 = {
     "achieve": "e241d5760b4d539ecce48694480b8ce3bf19eaac9e165fcd4f664050a4a0f563",
     "optimize": "884b0cfd5d997bc1e085e0438401d051e8c11db68ca83048e30a1bf624a8ac73",
     "kkt-check": "2766ede375db80c69113590fd4ad06007f06684568e4616b299c3a3006b6ca59",
-    "sweep": "f4fc4d682a6cc678f8b931311d0fc049000ad423888e938d144e970b7059dbdc",
+    "sweep": "17235a0a07aebe6dff9ca5f409db31d57ac0d5c562260bf712ee45f4fadb54e5",
     "verify": "29a6bc0b8198b2ace379922503852fdc08edcbd2ab7af251a2ee393bdbb515cf",
     "qpsk-bound": "b5cc7f1ae76dc2aa2382db838a0845733cc20148c27474b7cb920651c83ef24f",
-    "errors": "e727f9ce50aa8b37bfa368030b7bc6ee6372b871b250300a0a188d0372d4c2b5",
-    "help": "2d2bbf2b727347f93b1567eadf354619cd6e60c66162554e3c976ae45b60069e",
+    "errors": "c1bfaa353ae314f6cd27432add644f304c2b1ab72644a87a49e25a87a550d4e3",
+    "help": "4a5b4907443fe9fe12e3b775c0ae6c33ca7485fa66d400bbf10b20c9e47306be",
 }
 
 
@@ -663,6 +758,14 @@ def test_cli_bytes_match_frozen_digest(group, tmp_path, capsys, monkeypatch):
     assert digest.hexdigest() == CLI_BYTES_SHA256[group]
 
 
+@pytest.mark.parametrize("name", [name for name, *_, seeded in COMMANDS if not seeded])
+def test_seed_is_offered_only_where_it_applies(name, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--seed", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+
+
 def test_docs_name_the_command_table():
     names = [name for name, *_ in COMMANDS]
     (line,) = [line for line in cli.__doc__.splitlines() if line.startswith("Subcommands:")]
@@ -673,10 +776,7 @@ def test_docs_name_the_command_table():
 
 
 def test_module_entry_point(tmp_path):
-    dist = DiscreteInput((2.0, 4.0), (0.1, 0.9))
-    cfg = write_config(
-        tmp_path, channel=worked_channel().to_json(), input=dist.to_json()
-    )
+    cfg = write_config(tmp_path, **rate_sections())
     # the package's source directory, whether or not PYTHONPATH names it
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
