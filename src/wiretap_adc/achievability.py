@@ -398,12 +398,16 @@ def construct_positive_rate(chan, options=None):
     EqualGainError when |w1| == |w2| and SweepExhaustedError (with
     diagnostics) when no candidate clears RATE_FLOOR.
     """
-    options = options or ConstructOptions()
     if not chan.has_symmetric_one_bit("legit"):
         raise ValidationError(
             "construct_positive_rate needs a symmetric one-bit legitimate receiver; "
             "apply reduce_to_symmetric first"
         )
+    return _construct(chan, options or ConstructOptions())
+
+
+def _construct(chan, options):
+    """construct_positive_rate on a channel known to have a symmetric one-bit legit receiver."""
     if chan.w1.magnitude == chan.w2.magnitude:
         raise EqualGainError("equal gain magnitudes: |w1| == |w2|")
 
@@ -662,10 +666,10 @@ def achieve(chan, options=None, power_budget=None):
     """
     options = options or ConstructOptions()
     if chan.has_symmetric_one_bit("legit"):
-        result = construct_positive_rate(chan, options)
+        result = _construct(chan, options)
     else:
-        reduced, translation = reduce_to_symmetric(chan)
-        inner = construct_positive_rate(reduced, options)
+        reduced, translation = reduce_to_symmetric(chan)  # its legit receiver is one_bit_pair()
+        inner = _construct(reduced, options)
         translated = DiscreteInput(
             tuple(z + translation for z in inner.input.points), inner.input.probs
         )

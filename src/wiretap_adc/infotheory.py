@@ -1,7 +1,9 @@
 """Entropies, mutual information, secrecy rates, and related special functions.
 
 All rates are in bits (log base 2).  The conventions 0*log(0) = 0 and
-W*log(W/P) = 0 when W = 0 apply throughout.
+W*log(W/P) = 0 when W = 0 apply throughout.  _information is the one place
+W*log2(W/P_Y) is formed: every rate, every information density (kkt_check,
+verify) and the optimizer's gradient read its results.
 """
 
 import math
@@ -94,34 +96,33 @@ def binary_entropy(p):
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
-def _entropy_terms(w, ref):
-    """Elementwise w*log2(w/ref), broadcast, with zero weight giving zero.
+def _information(laws, W, log_ratios=False):
+    """(rates, densities, P_Y) of input laws (B, m) on transition rows W (n, K), n >= m.
 
-    w / ref (ref's zeros read as 1) is exactly that quotient where w > 0; it is
-    set to 1 where w <= 0, so those terms are w * 0 and log2 never meets 0.
-    """
-    with np.errstate(over="ignore"):  # w / tiny ref may overflow to +inf
-        terms = np.divide(w, np.where(ref > 0.0, ref, 1.0))
-    np.copyto(terms, 1.0, where=w <= 0.0)
-    return np.multiply(w, np.log2(terms, out=terms), out=terms)
-
-
-def _mutual_information_arrays(laws, W):
-    """I(X;Y) in bits under each input law, a row of laws (B, n), for rows W (n, K).
-
-    W may also stack the rows of P supports, shape (P, n, K); the result is
-    then one list of B rates per support.
+    P_Y = laws @ W[:m], so rows past the m-th (kkt_check's grid) get
+    densities sum_y W log2(W/P_Y) but no weight; outputs P_Y never produces
+    read P_Y = 1.  Rates are B floats, densities (B, n), P_Y (B, K); rows
+    stacked (P, n, K) lead each with P.  log_ratios adds log2(W/P_Y), 0 where
+    W is 0, (B, n, K): a second row-sized array, so built only on request.
     """
     laws = np.asarray(laws, dtype=float)
     W = np.asarray(W, dtype=float)
+    m = laws.shape[1]
     stack = (W if W.ndim == 3 else W[None])[:, None]
     # stacked products give each (support, law) the same vector products, and
     # so the same bits, as a one-law call on that support alone
-    py = laws[None, :, None, :] @ stack
-    sums = np.where(laws > 0.0, _entropy_terms(stack, py).sum(axis=3), 0.0)  # 0 * inf is NaN
+    py = laws[None, :, None, :] @ stack[..., :m, :]
+    with np.errstate(over="ignore"):  # w / tiny P_Y may overflow to +inf
+        ratio = np.divide(stack, np.where(py > 0.0, py, 1.0))
+    # 1 where w <= 0, so those terms are w * 0 and log2 never meets 0
+    np.copyto(ratio, 1.0, where=stack <= 0.0)
+    np.log2(ratio, out=ratio)
+    densities = np.multiply(stack, ratio, out=None if log_ratios else ratio).sum(axis=3)
+    sums = np.where(laws > 0.0, densities[..., :m], 0.0)  # 0 * inf is NaN
     info = laws[None, :, None, :] @ sums[..., None]
     rates = np.where(info > 0.0, info, 0.0).reshape(len(info), -1).tolist()  # NaN, -0.0 -> 0.0
-    return rates if W.ndim == 3 else rates[0]
+    out = (rates, densities, py[..., 0, :]) + ((ratio,) if log_ratios else ())
+    return out if W.ndim == 3 else tuple(a[0] for a in out)
 
 
 def _receiver_rows(chan, points):
@@ -132,7 +133,7 @@ def _receiver_rows(chan, points):
 
 def _rates_from_rows(laws, rows):
     """(i1, i2) per law, or (i1s, i2s) per support of stacked rows; one kernel call per receiver."""
-    return list(zip(*(_mutual_information_arrays(laws, w) for w in rows)))
+    return list(zip(*(_information(laws, w)[0] for w in rows)))
 
 
 def _rate_arrays(chan, points, probs):
@@ -163,16 +164,6 @@ def z_rate(phi, p):
     if math.isnan(p) or p < 0.0 or p > 1.0:
         raise ValidationError(f"z_rate needs p in [0, 1], got {p!r}")
     return binary_entropy(phi * (1.0 - p)) - phi * binary_entropy(p)
-
-
-def information_densities(rows, py):
-    """Information density sum_y W(y|x) log2(W(y|x)/P_Y(y)) of each row, in bits.
-
-    Works on one row or a stack of rows; a row with mass on an output that
-    P_Y never produces gets +inf.
-    """
-    unseen = (rows[..., py == 0.0] > 0.0).any(axis=-1)
-    return np.where(unseen, math.inf, _entropy_terms(rows, py).sum(axis=-1))
 
 
 def folding_functions(input_dist, w):

@@ -29,10 +29,9 @@ from .errors import EqualGainError, SweepExhaustedError, ValidationError
 from .infotheory import (
     DiscreteInput,
     RateReport,
+    _information,
     _rate_arrays,
-    _rates_from_rows,
     _receiver_rows,
-    information_densities,
     secrecy_rate,
 )
 from .util import json_fields, require_budget, require_integer
@@ -94,23 +93,20 @@ def _require_real(chan, what):
 def _rate_and_gradient(chan, points, probs):
     """Secrecy rate and its gradient in (points, probs), from one row build.
 
-    At each receiver, with rows W and output law P_Y = probs @ W, dI/dx_i is
-    p_i sum_y W'(y|x_i) log2(W(y|x_i)/P_Y(y)), and dI/dp_i is the information
-    density of x_i less 1/ln 2, a constant that cancels in i1 - i2.  Outputs
-    P_Y never produces are left out of the densities: only rows with p_i = 0
-    reach them, where i1 - i2 would read inf - inf.
+    One _information call per receiver gives its rate I, the information
+    densities D(x_i) and log2(W/P_Y) of its rows W.  dI/dx_i is
+    p_i sum_y W'(y|x_i) log2(W(y|x_i)/P_Y(y)), and dI/dp_i is D(x_i) less
+    1/ln 2, a constant that cancels in i1 - i2.  Outputs P_Y never produces
+    read P_Y = 1, not +inf: only rows with p_i = 0 reach them, where i1 - i2
+    would read inf - inf.
     """
-    rows = _receiver_rows(chan, points)
-    i1, i2 = _rates_from_rows([probs], rows)[0]
-    grad = np.zeros(2 * len(points))
-    for sign, receiver, w in zip((1.0, -1.0), RECEIVERS, rows):
-        py = probs @ w
-        with np.errstate(divide="ignore"):  # log2(0) is masked by w > 0
-            log_ratio = np.where(w > 0.0, np.log2(w / np.where(py > 0.0, py, 1.0)), 0.0)
+    rs, grad = 0.0, np.zeros(2 * len(points))
+    for sign, receiver, w in zip((1.0, -1.0), RECEIVERS, _receiver_rows(chan, points)):
+        (rate,), (densities,), _, (log_ratio,) = _information([probs], w, log_ratios=True)
         slope_terms = _cell_slopes(chan, receiver, points) * log_ratio
-        densities = (w * log_ratio).sum(axis=1)
         grad += sign * np.concatenate([probs * slope_terms.sum(axis=1), densities])
-    return i1 - i2, grad
+        rs += sign * rate
+    return rs, grad
 
 
 def minimize(*args, **kwargs):
@@ -418,10 +414,13 @@ def kkt_check(chan, input_dist, power_budget):
     radius = 3.0 * max(float(np.max(np.abs(xs))), math.sqrt(j), 1.0)
     grid = np.linspace(-radius, radius, KKT_GRID_POINTS)
 
-    # one row stack per receiver: the support's rows, then the grid's
-    rows = _receiver_rows(chan, np.concatenate([xs, grid]))
-    i1, i2 = _rates_from_rows([probs], [w[:n] for w in rows])[0]
-    dens = [information_densities(w, probs @ w[:n]) for w in rows]
+    # one kernel call per receiver; a row meeting an output P_Y lacks has density +inf
+    rates, dens = [], []
+    for w in _receiver_rows(chan, np.concatenate([xs, grid])):
+        (rate,), (densities,), (py,) = _information([probs], w)
+        rates.append(rate)
+        dens.append(np.where((w[:, py == 0.0] > 0.0).any(axis=1), math.inf, densities))
+    i1, i2 = rates
     report = RateReport(i1=i1, i2=i2, rs=i1 - i2, power=input_dist.power)
     with np.errstate(invalid="ignore"):  # inf - inf is handled in _residuals
         d_support, d_grid = np.split(dens[0] - dens[1], [n])

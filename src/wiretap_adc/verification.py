@@ -35,11 +35,10 @@ from .channel import ComplexGain, WiretapChannel, q_function, transition_rows
 from .errors import SweepExhaustedError, ValidationError
 from .infotheory import (
     DiscreteInput,
-    _mutual_information_arrays,
+    _information,
     _rate_arrays,
     binary_entropy,
     folding_functions,
-    information_densities,
     secrecy_rate,
     z_rate,
 )
@@ -360,13 +359,12 @@ def _suite_mi_oracle(rng):
         dist = DiscreteInput(tuple(pts.tolist()), tuple(float(p) for p in probs))
         for receiver in ("legit", "eave"):
             rows = transition_rows(chan, receiver, dist.points)
-            mi = _mutual_information_arrays([dist.probs], rows)[0]
+            (mi,), (densities,), _ = _information([dist.probs], rows)
             brute = _brute_force_mi(
                 [float(p) for p in dist.probs],
                 [list(map(float, row)) for row in rows],
             )
             worst = max(worst, abs(mi - brute))
-            densities = information_densities(rows, np.asarray(dist.probs) @ rows)
             mean_density = math.fsum(p * d for p, d in zip(dist.probs, densities))
             worst = max(worst, abs(mean_density - mi))
             cases += 1

@@ -98,6 +98,27 @@ def random_complex_input(rng, min_points, max_points):
     return DiscreteInput(tuple(pts.tolist()), tuple(float(p) for p in probs))
 
 
+def wide_case(case):
+    """Case 0-59 of the wide digest, on 8-64-level ADCs: (channel, input, budget).
+
+    Cases 0-39 are complex channels with 16-64 input points and no budget;
+    40-59 are real channels with a kkt_check budget.
+    """
+    rng = np.random.default_rng([14, case])
+    mode = "complex" if case < 40 else "real"
+    levels = {"min_levels": 8, "max_levels": 64}
+    chan = WiretapChannel(
+        w1=random_gain(rng, float(rng.uniform(0.1, 4.0)), mode),
+        w2=random_gain(rng, float(rng.uniform(0.1, 4.0)), mode),
+        legit_adc=random_adc_pair(rng, **levels),
+        eave_adc=random_adc_pair(rng, **levels),
+        mode=mode,
+    )
+    if mode == "complex":
+        return chan, random_complex_input(rng, 16, 64), None
+    return chan, random_real_input(rng), float(rng.uniform(0.5, 4.0))
+
+
 def random_stochastic_matrix(rng, n, m):
     raw = rng.dirichlet(np.ones(m), size=n)
     return raw

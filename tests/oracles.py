@@ -194,12 +194,6 @@ def masked_mutual_information(laws, W):
     return rates if W.ndim == 3 else rates[0]
 
 
-def masked_information_densities(rows, py):
-    """Row sums of masked_entropy_terms, +inf for a row with mass where py is 0."""
-    unseen = np.any((rows > 0.0) & (py == 0.0), axis=-1)
-    return np.where(unseen, math.inf, masked_entropy_terms(rows, py).sum(axis=-1))
-
-
 def _binary_mi(phi, a, b):
     """I(X;Y) in bits for P(X=0) = phi and rows a, b (last axis = outputs).
 

@@ -54,7 +54,7 @@ from wiretap_adc import (
     z_rate,
 )
 from wiretap_adc.achievability import PHI_GRID
-from wiretap_adc.infotheory import _mutual_information_arrays, information_densities
+from wiretap_adc.infotheory import _information
 from wiretap_adc.verification import _limit_deviation
 
 SEED = 1
@@ -537,9 +537,8 @@ def test_c09_mutual_information_oracle():
         m = int(rng.integers(2, 17))
         rows = random_stochastic_matrix(rng, n, m)
         probs = tuple(float(p) for p in rng.dirichlet(np.ones(n)))
-        mi = _mutual_information_arrays([probs], rows)[0]
+        (mi,), (densities,), _ = _information([probs], rows)
         worst_mi = max(worst_mi, abs(mi - oracles.brute_mi(probs, rows.tolist())))
-        densities = information_densities(rows, np.asarray(probs) @ rows)
         mean_density = fsum(p * d for p, d in zip(probs, densities))
         worst_density = max(worst_density, abs(mean_density - mi))
     ok = worst_mi <= 1e-12 and worst_density <= 1e-12

@@ -219,7 +219,7 @@ class TestConstruct:
             monkeypatch, calls,
             (channel_mod, "_rows"),
             (channel_mod, "_cells"),
-            (infotheory_mod, "_mutual_information_arrays"),
+            (infotheory_mod, "_information"),
         )
         chan = criterion1_channel(np.random.default_rng([1, 1, 0]), "complex")
         res = construct_positive_rate(chan, ConstructOptions(keep_trace=True))
@@ -227,7 +227,7 @@ class TestConstruct:
         builds = [args[1:] for name, args in calls if name == "_rows"]
         assert [(receivers, len(xs)) for receivers, xs in builds] == [(("legit", "eave"), 2)]
         assert sum(name == "_cells" for name, _ in calls) == 1
-        assert sum(name == "_mutual_information_arrays" for name, _ in calls) == 2
+        assert sum(name == "_information" for name, _ in calls) == 2
 
     @staticmethod
     def tee_scanned_pairs(monkeypatch, calls):
@@ -255,7 +255,7 @@ class TestConstruct:
             (channel_mod, "_rows"),
             (channel_mod, "_edge_layout"),
             (achievability_mod, "_ray_limits"),
-            (infotheory_mod, "_mutual_information_arrays"),
+            (infotheory_mod, "_information"),
         )
         self.tee_scanned_pairs(monkeypatch, calls)
         chan = criterion1_channel(np.random.default_rng([1, 1, case]), mode)
@@ -269,7 +269,7 @@ class TestConstruct:
         assert {receivers for receivers, _ in builds} == {("legit", "eave")}
         built = [x for _, xs in builds for x in xs]
         assert len(built) == len(set(built))
-        kernel_calls = sum(name == "_mutual_information_arrays" for name, _ in calls)
+        kernel_calls = sum(name == "_information" for name, _ in calls)
         assert kernel_calls < len(pairs)
         assert sum(name == "_edge_layout" for name, _ in calls) == 1
         # every limit direction a pulled pair reads, and no other, is derived once
@@ -284,7 +284,7 @@ class TestConstruct:
         # chunks that share one kernel call per receiver carrying only the 3
         # phis the steps read.
         calls = []
-        self.count_calls(monkeypatch, calls, (infotheory_mod, "_mutual_information_arrays"))
+        self.count_calls(monkeypatch, calls, (infotheory_mod, "_information"))
         self.tee_scanned_pairs(monkeypatch, calls)
         chan = criterion1_channel(np.random.default_rng([5, 5, 57]), "real")
         res = construct_positive_rate(chan)
@@ -453,12 +453,14 @@ class TestConstruct:
             legit_adc=ComplexAdcPair(AdcSpec((0.3,), (-1.0, 1.0)), one_bit()),
             eave_adc=one_bit_pair(), mode="real",
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="needs a symmetric one-bit legitimate "
+                           "receiver; apply reduce_to_symmetric first"):
             construct_positive_rate(bad)
 
 
 class TestReduce:
-    def asymmetric_channel(self, threshold=0.7):
+    @staticmethod
+    def asymmetric_channel(threshold=0.7):
         return WiretapChannel(
             w1=ComplexGain(1.0), w2=ComplexGain(2.0),
             legit_adc=ComplexAdcPair(AdcSpec((threshold,), (-1.0, 1.0)), one_bit()),
@@ -527,6 +529,25 @@ class TestAchieve:
         assert res.exact_rate.rs > 1e-9
         rep = secrecy_rate(chan, res.input)
         assert rep.rs == res.exact_rate.rs
+
+    @pytest.mark.parametrize("legit", ["c1", "off_centre"])
+    def test_legit_receiver_is_checked_once(self, monkeypatch, legit):
+        # an off-centre legitimate ADC is reduced to one_bit_pair(), which the
+        # construction then takes without checking it again
+        checked = []
+        original = WiretapChannel.has_symmetric_one_bit
+
+        def counted(chan, receiver):
+            checked.append(receiver)
+            return original(chan, receiver)
+
+        monkeypatch.setattr(WiretapChannel, "has_symmetric_one_bit", counted)
+        if legit == "c1":
+            chan = criterion1_channel(np.random.default_rng([1, 1, 0]), "complex")
+        else:
+            chan = TestReduce.asymmetric_channel()
+        achieve(chan)
+        assert checked == ["legit"]
 
     def test_json_payload_keys(self):
         res = achieve(WORKED, power_budget=4.0)

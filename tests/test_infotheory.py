@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from helpers import (
-    random_adc_pair,
-    random_complex_input,
-    random_gain,
-    random_real_input,
-    random_stochastic_matrix,
-)
+from helpers import random_real_input, random_stochastic_matrix, wide_case
 from wiretap_adc import (
     ComplexGain,
     DiscreteInput,
@@ -27,16 +21,17 @@ from wiretap_adc import (
     secrecy_rate,
     z_rate,
 )
-from wiretap_adc.infotheory import (
-    _entropy_terms,
-    _mutual_information_arrays,
-    information_densities,
-)
+from wiretap_adc.infotheory import _information
 
 
 def kernel_mi(probs, rows):
     """I(X;Y) in bits of one input law through the library kernel."""
-    return _mutual_information_arrays([probs], rows)[0]
+    return _information([probs], rows)[0][0]
+
+
+def kernel_rates(laws, rows):
+    """The kernel's rates alone: a list per law, or per support of stacked rows."""
+    return _information(laws, rows)[0]
 
 
 def test_binary_entropy_values():
@@ -104,13 +99,13 @@ def test_batched_kernel_matches_one_law_calls_bit_for_bit(n, k, batch, supports)
         laws[0] = np.eye(n)[0]
         laws[laws.sum(axis=1) == 0.0, -1] = 1.0
         laws /= laws.sum(axis=1, keepdims=True)
-        stacked = _mutual_information_arrays(laws, np.array(stack))
+        stacked = kernel_rates(laws, np.array(stack))
         assert len(stacked) == supports
         for rows, got in zip(stack, stacked):
-            assert got == _mutual_information_arrays(laws, rows)
+            assert got == kernel_rates(laws, rows)
             assert len(got) == batch
             for law, value in zip(laws, got):
-                assert value == _mutual_information_arrays(law[None, :], rows)[0]
+                assert value == kernel_rates(law[None, :], rows)[0]
                 assert value == _one_law_mi(law, rows)
 
 
@@ -150,16 +145,20 @@ def test_kernel_keeps_the_masked_formula_bits(n, k, batch, supports):
     py = laws[None, :, None, :] @ stack[:, None]
     want_terms = oracles.masked_entropy_terms(stack[:, None], py)
     assert np.isinf(want_terms).any() and (py == 0.0).any()
-    assert _same_bits(_entropy_terms(stack[:, None], py), want_terms)
-    for rows in (stack, *stack):
-        want = oracles.masked_mutual_information(laws, rows)
-        assert _mutual_information_arrays(laws, rows) == want
-    for rows in stack:
-        for law in laws:
-            py = law @ rows
-            for r in (rows, rows[-1]):
-                want = oracles.masked_information_densities(r, py)
-                assert _same_bits(information_densities(r, py), want)
+    rates, densities, got_py = _information(laws, stack)
+    assert rates == oracles.masked_mutual_information(laws, stack)
+    assert _same_bits(got_py, py[..., 0, :])
+    # every row's density, +inf where a faint column's term overflows
+    assert _same_bits(densities, want_terms.sum(axis=-1))
+    for rows, want_densities in zip(stack, densities):
+        one_rates, one_densities, _ = _information(laws, rows)
+        assert one_rates == oracles.masked_mutual_information(laws, rows)
+        assert _same_bits(one_densities, want_densities)
+        # rows past the laws' m get densities, and the same bits, but no weight
+        rates_x, densities_x, _ = _information(laws, np.concatenate([rows, rows[::-1]]))
+        assert rates_x == one_rates
+        want_x = np.concatenate([want_densities, want_densities[:, ::-1]], axis=1)
+        assert _same_bits(densities_x, want_x)
 
 
 def _same_bits(a, b):
@@ -180,16 +179,19 @@ def _peak_over(nbytes, call):
 
 
 def test_kernel_temporaries_stay_within_one_and_a_half_rows():
-    # a wide rate op's rows, and a kkt_check grid's densities: one array of
-    # terms at a time (the np.where formulas of oracles.masked_* hold about 3.1x)
+    # a wide rate op's rows, a kkt_check grid's densities, and the optimizer's
+    # log-ratio path: one array of terms at a time (the np.where formulas of
+    # oracles.masked_* hold about 3.1x)
     rng = np.random.default_rng(14)
     rows = random_stochastic_matrix(rng, 64, 4096)
     rows[rng.random(rows.shape) < 0.2] = 0.0
     law = rng.dirichlet(np.ones(64))
-    assert _peak_over(rows.nbytes, lambda: _mutual_information_arrays([law], rows)) <= 1.5
+    assert _peak_over(rows.nbytes, lambda: _information([law], rows)) <= 1.5
+    # the log ratios it returns are one rows-sized array on top of the temporaries
+    assert _peak_over(rows.nbytes, lambda: _information([law], rows, log_ratios=True)) - 1.0 <= 1.5
     rows = random_stochastic_matrix(rng, 2005, 65)
-    py = rng.dirichlet(np.ones(5)) @ rows[:5]
-    assert _peak_over(rows.nbytes, lambda: information_densities(rows, py)) <= 1.5
+    law = rng.dirichlet(np.ones(5))  # P_Y from the first 5 rows, as kkt_check's support
+    assert _peak_over(rows.nbytes, lambda: _information([law], rows)) <= 1.5
 
 
 def test_secrecy_rate_report_fields():
@@ -243,19 +245,21 @@ def test_information_density_expectation_identity():
         m = int(rng.integers(2, 7))
         rows = random_stochastic_matrix(rng, n, m)
         probs = rng.dirichlet(np.ones(n))
-        densities = information_densities(rows, probs @ rows)
+        (rate,), (densities,), _ = _information([probs], rows)
         mean = math.fsum(p * d for p, d in zip(probs, densities))
-        assert mean == pytest.approx(kernel_mi(probs, rows), abs=1e-12)
+        assert mean == pytest.approx(rate, abs=1e-12)
+        assert rate == kernel_mi(probs, rows)
 
 
-def test_information_density_off_support_and_infinity():
+def test_information_density_off_support_rows():
     ident = np.eye(2)
-    py = np.array([1.0, 0.0]) @ ident
-    # the second output never occurs, so a row landing there has density +inf
-    assert list(information_densities(ident, py)) == [0.0, math.inf]
-    # a lone row of a point off the support works the same way
-    assert information_densities(np.array([1.0, 0.0]), py) == pytest.approx(0.0, abs=1e-15)
-    assert information_densities(np.array([0.0, 1.0]), py) == math.inf
+    # rows past the law's one point are weighed by nothing: P_Y is the first row
+    (rate,), (densities,), (py,) = _information([[1.0]], np.vstack([ident, [1.0, 0.0]]))
+    assert rate == 0.0
+    assert list(py) == [1.0, 0.0]
+    # an output P_Y never produces reads P_Y = 1 in the kernel; kkt_check makes
+    # such a row's density +inf (test_kkt_unseen_output_reads_infinite_density)
+    assert list(densities) == [0.0, 0.0, 0.0]
 
 
 def test_folding_functions_tail_identities():
@@ -321,22 +325,10 @@ WIDE_RESULTS_SHA256 = "7dd4bb7a22567f0134cca490c68ab76be72be2f3c5d578ce40213358e
 
 
 def test_wide_results_are_byte_identical_to_frozen_digest():
-    levels = {"min_levels": 8, "max_levels": 64}
     reprs = []
     for case in range(60):
-        rng = np.random.default_rng([14, case])
-        mode = "complex" if case < 40 else "real"
-        chan = WiretapChannel(
-            w1=random_gain(rng, float(rng.uniform(0.1, 4.0)), mode),
-            w2=random_gain(rng, float(rng.uniform(0.1, 4.0)), mode),
-            legit_adc=random_adc_pair(rng, **levels),
-            eave_adc=random_adc_pair(rng, **levels),
-            mode=mode,
-        )
-        if mode == "complex":
-            reprs.append(repr(secrecy_rate(chan, random_complex_input(rng, 16, 64))))
-        else:
-            dist = random_real_input(rng)
-            reprs.append(repr(kkt_check(chan, dist, float(rng.uniform(0.5, 4.0)))))
+        chan, dist, budget = wide_case(case)
+        result = secrecy_rate(chan, dist) if budget is None else kkt_check(chan, dist, budget)
+        reprs.append(repr(result))
     digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
     assert digest == WIDE_RESULTS_SHA256

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import one_bit_real_channel, random_real_input
+from helpers import one_bit_real_channel, random_real_input, wide_case
 from wiretap_adc import (
     AdcSpec,
     ComplexAdcPair,
@@ -26,8 +26,10 @@ from wiretap_adc import (
     secrecy_rate,
 )
 from wiretap_adc import channel
+from wiretap_adc import infotheory as infotheory_mod
+from wiretap_adc import optimizer as optimizer_mod
 from wiretap_adc.infotheory import _rate_arrays
-from wiretap_adc.optimizer import _better, _rate_and_gradient
+from wiretap_adc.optimizer import KKT_GRID_POINTS, _better, _rate_and_gradient
 
 EASY = WiretapChannel(
     w1=ComplexGain(2.0), w2=ComplexGain(1.0),
@@ -306,6 +308,43 @@ def test_kkt_unseen_output_is_never_certified():
     )
     report = kkt_check(chan, DiscreteInput((40.0,), (1.0,)), 1600.0)
     assert report.max_slack_violation == math.inf
+
+
+def test_kkt_unseen_output_reads_infinite_density():
+    # at x = 40 the legitimate receiver's lower cell underflows to 0, while the
+    # weak eavesdropper's never does: every grid point x < 0 puts mass on an
+    # output the legitimate P_Y never produces, so D(x) = +inf - finite
+    chan = WiretapChannel(
+        w1=ComplexGain(1.0), w2=ComplexGain(0.01),
+        legit_adc=one_bit_pair(), eave_adc=one_bit_pair(), mode="real",
+    )
+    report = kkt_check(chan, DiscreteInput((40.0,), (1.0,)), 1600.0)
+    assert report.max_slack_violation == math.inf
+
+
+def test_wide_real_cases_read_their_rate_from_one_kernel_call_per_receiver(monkeypatch):
+    # the 20 real cases of the wide digest: 8-64-level ADCs, 2-5 support points
+    calls = []
+    kernel = infotheory_mod._information
+
+    def counted(laws, rows, *args, **kwargs):
+        calls.append(len(rows))
+        return kernel(laws, rows, *args, **kwargs)
+
+    for module in (infotheory_mod, optimizer_mod):
+        monkeypatch.setattr(module, "_information", counted)
+    for case in range(40, 60):
+        chan, dist, budget = wide_case(case)
+        want = secrecy_rate(chan, dist)
+        n = len(dist.points)
+        calls.clear()
+        report = kkt_check(chan, dist, budget)
+        assert calls == [n + KKT_GRID_POINTS] * 2
+        assert repr(report.rate) == repr(want)
+        calls.clear()
+        rs, _ = _rate_and_gradient(chan, dist.real_points(), np.asarray(dist.probs))
+        assert calls == [n] * 2
+        assert rs.hex() == want.rs.hex()
 
 
 def test_kkt_degenerate_support_fallback():
