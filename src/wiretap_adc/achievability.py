@@ -161,6 +161,12 @@ def align_phase(w1, w2):
     (0, pi/4], and the input phase capital_phi = theta - angle(w2) steers the
     eavesdropper's ray to angle theta while the legitimate ray points at
     m*pi/2 - theta.
+
+    No rounding correction is needed: float // is an exact floor and
+    0 <= delta < 4 * QUARTER = 2pi, so m is 1..4; QUARTER's significand ends
+    in three zero bits, so m * QUARTER is exact, m * QUARTER - delta is exact
+    for m >= 2 (Sterbenz) and rounds into (0, QUARTER] for m = 1, and theta
+    lies in (0, QUARTER / 2] = (0, pi/4].
     """
     if w1.magnitude == 0.0 or w2.magnitude == 0.0:
         raise ValidationError("phase alignment needs non-zero gains")
@@ -169,17 +175,6 @@ def align_phase(w1, w2):
         delta = 0.0
     m = int(delta // QUARTER) + 1
     theta = (m * QUARTER - delta) / 2.0
-    # float division can mis-floor by one ulp near quadrant boundaries
-    if theta <= 0.0:
-        m += 1
-        theta = (m * QUARTER - delta) / 2.0
-    elif theta > math.pi / 4.0:
-        m -= 1
-        theta = (m * QUARTER - delta) / 2.0
-        if theta <= 0.0:
-            m += 1
-            theta = (m * QUARTER - delta) / 2.0
-    m = (m - 1) % 4 + 1
     return PhaseAlignment(
         theta=theta,
         capital_phi=theta - w2.phase,
@@ -242,7 +237,9 @@ def crossover_probs(chan, theta, a):
     if chan.mode == "complex":
         theta = _require_theta(theta)
     direction = _canonical_direction(chan, theta)
-    return _Sweep(chan, ConstructOptions()).limit_mass(direction, complex(a * direction))
+    (idx1, idx2), _ = _ray_limits(chan, direction)
+    row1, row2 = channel_mod._rows(chan, channel_mod.RECEIVERS, [complex(a * direction)])
+    return float(row1[0, idx1]), float(row2[0, idx2])
 
 
 def _canonical_direction(chan, theta):
@@ -308,8 +305,6 @@ class _Sweep:
     def limit_mass(self, direction, point):
         """(legit, eave) mass of the point's rows in the limit cells: a near point's (p1, p2)."""
         (idx1, idx2), _ = self.ray(direction)
-        if point not in self._rows:
-            self.build((point,))
         row1, row2 = self._rows[point]
         return float(row1[idx1]), float(row2[idx2])
 
@@ -408,9 +403,6 @@ def construct_positive_rate(chan, options=None):
 
 def _construct(chan, options):
     """construct_positive_rate on a channel known to have a symmetric one-bit legit receiver."""
-    if chan.w1.magnitude == chan.w2.magnitude:
-        raise EqualGainError("equal gain magnitudes: |w1| == |w2|")
-
     sweep = _Sweep(chan, options)
     alignment = None if chan.mode == "real" else align_phase(chan.w1, chan.w2)
     theta, line_angle, ray = (None, 0.0, None) if alignment is None else (
@@ -605,7 +597,7 @@ def apply_power_constraint(result, power_budget):
     """
     j = require_budget(power_budget)
     power = result.exact_rate.power
-    if power <= j or power == 0.0:
+    if power <= j:
         alpha = 1.0
     else:
         alpha = j / power

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .util import json_array, json_object, require_finite
+from .util import json_array, json_fields, json_object, require_finite
 
 # Joint transition rows have k_R * k_I entries; 4096 per component keeps them
 # desk-sized.
@@ -52,7 +52,7 @@ class AdcSpec:
         return len(self.outputs)
 
     def to_json(self):
-        return {"thresholds": list(self.thresholds), "outputs": list(self.outputs)}
+        return json_fields(self)
 
     @classmethod
     def from_json(cls, obj, name="ADC spec"):
@@ -74,7 +74,7 @@ class ComplexAdcPair:
         return self.real_part.levels * self.imag_part.levels
 
     def to_json(self):
-        return {"real": self.real_part.to_json(), "imag": self.imag_part.to_json()}
+        return json_fields(self, rename={"real_part": "real", "imag_part": "imag"})
 
     @classmethod
     def from_json(cls, obj, name="ADC pair"):

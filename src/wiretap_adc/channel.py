@@ -102,13 +102,7 @@ class WiretapChannel:
         return all(is_symmetric_one_bit(spec) for spec in _receiver_specs(self, (receiver,)))
 
     def to_json(self):
-        return {
-            "mode": self.mode,
-            "w1": self.w1.to_json(),
-            "w2": self.w2.to_json(),
-            "legit_adc": self.legit_adc.to_json(),
-            "eave_adc": self.eave_adc.to_json(),
-        }
+        return {"mode": self.mode, **json_fields(self, skip=("mode",))}
 
     @classmethod
     def from_json(cls, obj):

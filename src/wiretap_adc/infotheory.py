@@ -14,8 +14,7 @@ from scipy.special import ndtr
 
 from . import channel as channel_mod
 from .errors import ValidationError
-from .util import (complex_from_json, complex_to_json, json_array, json_fields, json_object,
-                   require_finite)
+from .util import complex_from_json, json_array, json_fields, json_object, require_finite
 
 PROB_SUM_TOL = 1e-12
 
@@ -60,10 +59,7 @@ class DiscreteInput:
         return np.array([z.real for z in self.points])
 
     def to_json(self):
-        return {
-            "points": [complex_to_json(z) for z in self.points],
-            "probs": list(self.probs),
-        }
+        return json_fields(self)
 
     @classmethod
     def from_json(cls, obj):

@@ -78,11 +78,7 @@ class OptimizeResult:
     trace: tuple  # rows (seed, restart, iterations, rs, power)
 
     def to_json(self):
-        return {
-            "input": self.input.to_json(),
-            "rate_report": self.report.to_json(),
-            "power_budget": self.power_budget,
-        }
+        return json_fields(self, skip=("trace",), rename={"report": "rate_report"})
 
 
 def _require_real(chan, what):
@@ -221,7 +217,6 @@ def optimize_wyner_rate(chan, power_budget, config=None):
 
     best = None  # (_better's (rs, power, points) tuple, input, report)
     trace = []
-    seed_start = _construct_seed(chan, j, n)
     for restart in range(config.restarts):
         rng = np.random.default_rng([config.seed, restart])
         probs0 = np.full(n, 1.0 / n)
@@ -229,7 +224,7 @@ def optimize_wyner_rate(chan, power_budget, config=None):
             pts0 = np.linspace(-1.0, 1.0, n) * amplitude if n > 1 else np.array([amplitude])
         elif restart == 1:
             pts0 = np.linspace(0.1, 1.0, n) * amplitude
-        elif restart == 2 and seed_start is not None:
+        elif restart == 2 and (seed_start := _construct_seed(chan, j, n)) is not None:
             pts0, probs0 = seed_start
         else:
             pts0 = rng.uniform(-1.25 * amplitude, 1.25 * amplitude, n)
@@ -391,8 +386,7 @@ class KktReport:
     grid_radius: float
 
     def to_json(self):
-        return {"lambda": self.lambda_, "rate_report": self.rate.to_json(),
-                **json_fields(self, skip=("lambda_", "rate"))}
+        return json_fields(self, rename={"lambda_": "lambda", "rate": "rate_report"})
 
 
 def kkt_check(chan, input_dist, power_budget):

@@ -1,6 +1,7 @@
 """Small shared helpers: number, integer and power-budget checks, JSON coding.
 
-Every from_json and the CLI check config objects and arrays with json_object and json_array.
+json_fields is the one JSON encoder: every to_json is a call to it.  Every
+from_json and the CLI check config objects and arrays with json_object and json_array.
 """
 
 import math
@@ -49,18 +50,20 @@ def complex_to_json(z):
     return {"re": z.real, "im": z.imag}
 
 
-def json_fields(obj, skip=()):
-    """obj's dataclass fields less skip, in field order: complex as {re, im}, objects by to_json."""
-    out = {}
-    for field in fields(obj):
-        if field.name not in skip:
-            value = getattr(obj, field.name)
-            if isinstance(value, complex):
-                value = complex_to_json(value)
-            elif hasattr(value, "to_json"):
-                value = value.to_json()
-            out[field.name] = value
-    return out
+def _json_value(value):
+    """complex as {re, im}, tuples as lists of their items' values, objects by to_json."""
+    if isinstance(value, complex):
+        return complex_to_json(value)
+    if isinstance(value, tuple):
+        return [_json_value(item) for item in value]
+    return value.to_json() if hasattr(value, "to_json") else value
+
+
+def json_fields(obj, skip=(), rename=None):
+    """obj's dataclass fields less skip, in field order, keyed by rename's name for each if any."""
+    rename = rename or {}
+    return {rename.get(field.name, field.name): _json_value(getattr(obj, field.name))
+            for field in fields(obj) if field.name not in skip}
 
 
 def json_object(obj, what, required=(), optional=()):

@@ -1,67 +1,54 @@
-"""Seeded samplers shared across test modules."""
+"""Seeded samplers and C1 builders shared across test modules.
+
+The samplers come from bench/workloads.py, loaded from that file, so the
+tests and the bench draw the same way: random_adc, random_adc_pair,
+random_gain, criterion1_channel (the bench's c1_channel), one_bit_real_channel
+and random_complex_input's points.  random_real_input keeps its own copy for
+its mixed variants.
+"""
+
+import hashlib
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 
-from wiretap_adc import (
-    AdcSpec,
-    ComplexAdcPair,
-    ComplexGain,
-    DiscreteInput,
-    WiretapChannel,
-    one_bit_pair,
-)
+from wiretap_adc import DiscreteInput, SweepExhaustedError, WiretapChannel, achieve
 
 
-def random_adc(rng, lo=-3.0, hi=3.0, min_levels=2, max_levels=8):
-    levels = int(rng.integers(min_levels, max_levels + 1))
-    ths = np.sort(rng.uniform(lo, hi, levels - 1))
-    return AdcSpec(
-        thresholds=tuple(float(t) for t in ths),
-        outputs=tuple(float(i) for i in range(levels)),
-    )
+def _load_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def random_adc_pair(rng, **kwargs):
-    return ComplexAdcPair(real_part=random_adc(rng, **kwargs),
-                          imag_part=random_adc(rng, **kwargs))
+_WORKLOADS = _load_workloads()
+random_adc = _WORKLOADS.random_adc
+random_adc_pair = _WORKLOADS.random_adc_pair
+random_gain = _WORKLOADS.random_gain
+criterion1_channel = _WORKLOADS.c1_channel  # one-bit legit, 2-8 level eavesdropper, gap >= 0.05
+one_bit_real_channel = _WORKLOADS.one_bit_real_channel
 
 
-def random_gain(rng, magnitude, mode):
-    if mode == "complex":
-        angle = float(rng.uniform(-np.pi, np.pi))
-        return ComplexGain(magnitude * np.cos(angle), magnitude * np.sin(angle))
-    sign = float(rng.choice([-1.0, 1.0]))
-    return ComplexGain(magnitude * sign, 0.0)
+def c1_channel(case, mode=None):
+    """C1 config case, from seed [1, 1, case]; by default real for odd cases, complex for even."""
+    mode = mode or ("real" if case % 2 else "complex")
+    return criterion1_channel(np.random.default_rng([1, 1, case]), mode)
 
 
-def criterion1_channel(rng, mode):
-    """One-bit legitimate receiver, 2-8 level eavesdropper, gap >= 0.05."""
-    while True:
-        m1 = float(rng.uniform(0.1, 4.0))
-        m2 = float(rng.uniform(0.1, 4.0))
-        if abs(m1 - m2) >= 0.05:
-            break
-    return WiretapChannel(
-        w1=random_gain(rng, m1, mode),
-        w2=random_gain(rng, m2, mode),
-        legit_adc=one_bit_pair(),
-        eave_adc=random_adc_pair(rng),
-        mode=mode,
-    )
+def c1_outcome(chan, options=None, power_budget=None):
+    """achieve's result, or the exhaustion diagnostics when the sweep exhausts."""
+    try:
+        return achieve(chan, options, power_budget)
+    except SweepExhaustedError as exc:
+        return exc.diagnostics
 
 
-def one_bit_real_channel(rng, legit_weaker):
-    """Both receivers one-bit, real mode, strict magnitude ordering."""
-    lo = float(rng.uniform(0.2, 1.2))
-    hi = lo + float(rng.uniform(0.1, 1.5))
-    m1, m2 = (lo, hi) if legit_weaker else (hi, lo)
-    return WiretapChannel(
-        w1=random_gain(rng, m1, "real"),
-        w2=random_gain(rng, m2, "real"),
-        legit_adc=one_bit_pair(),
-        eave_adc=one_bit_pair(),
-        mode="real",
-    )
+def sha256_lines(reprs):
+    """sha256 hex digest of the strings joined one per line."""
+    return hashlib.sha256("\n".join(reprs).encode()).hexdigest()
 
 
 def random_real_input(rng, mixed=None):
@@ -89,13 +76,7 @@ def random_real_input(rng, mixed=None):
 
 def random_complex_input(rng, min_points, max_points):
     """min_points-max_points distinct complex points in [-2, 2]^2; atoms never below 0.2/n."""
-    n = int(rng.integers(min_points, max_points + 1))
-    while True:
-        pts = np.round(rng.uniform(-2.0, 2.0, n), 6) + 1j * np.round(rng.uniform(-2.0, 2.0, n), 6)
-        if len(set(pts.tolist())) == n:
-            break
-    probs = 0.8 * rng.dirichlet(np.ones(n)) + 0.2 / n
-    return DiscreteInput(tuple(pts.tolist()), tuple(float(p) for p in probs))
+    return _WORKLOADS.random_complex_input(rng, int(rng.integers(min_points, max_points + 1)))
 
 
 def wide_case(case):

@@ -9,7 +9,6 @@ the floor and the canonical construction's Z-channel limit rate, computed at
 50 digits, is positive; each such channel is printed with both numbers.
 """
 
-import hashlib
 import math
 import time
 import tracemalloc
@@ -21,6 +20,8 @@ import pytest
 
 import oracles
 from helpers import (
+    c1_channel,
+    c1_outcome,
     criterion1_channel,
     one_bit_real_channel,
     random_adc,
@@ -28,6 +29,7 @@ from helpers import (
     random_gain,
     random_real_input,
     random_stochastic_matrix,
+    sha256_lines,
 )
 from wiretap_adc import (
     AdcSpec,
@@ -35,9 +37,7 @@ from wiretap_adc import (
     ConstructOptions,
     DiscreteInput,
     OptimizeConfig,
-    SweepExhaustedError,
     WiretapChannel,
-    achieve,
     binary_entropy,
     check_support_condition,
     choose_amplitude,
@@ -76,14 +76,10 @@ def construction_runs():
     runs = []
     start = time.perf_counter()
     for case in range(200):
-        rng = rng_for(1, case)
-        chan = criterion1_channel(rng, "real" if case % 2 else "complex")
-        try:
-            result = achieve(chan)
-        except SweepExhaustedError as exc:
-            runs.append((case, chan, None, exc.diagnostics))
-        else:
-            runs.append((case, chan, result, None))
+        chan = c1_channel(case)
+        outcome = c1_outcome(chan)
+        diag = outcome if isinstance(outcome, dict) else None
+        runs.append((case, chan, None if diag else outcome, diag))
     return runs, time.perf_counter() - start
 
 
@@ -156,27 +152,17 @@ C1_FIRST_TRACED_SHA256 = "80b9bab6e133af588828ac4261f78b75e64c70e9a4a190763037d9
 C1_BEST_SHA256 = "ecf04e86cf693d417b00bcb86cdf6ac6f0ed158053d133bbaae425e9840b1dff"
 
 
-def _results_sha256(reprs):
-    return hashlib.sha256("\n".join(reprs).encode()).hexdigest()
-
-
 def test_c01_results_are_byte_identical_to_frozen_digests(construction_runs):
     runs, _ = construction_runs
     reprs = [repr(diag if result is None else result) for _, _, result, diag in runs]
-    assert _results_sha256(reprs) == C1_RESULTS_SHA256
+    assert sha256_lines(reprs) == C1_RESULTS_SHA256
     for configs, options, expected in (
         (range(100), ConstructOptions(mode="best", keep_trace=True), C1_BEST_TRACED_SHA256),
         (range(200), ConstructOptions(keep_trace=True), C1_FIRST_TRACED_SHA256),
         (range(200), ConstructOptions(mode="best"), C1_BEST_SHA256),
     ):
-        reprs = []
-        for case in configs:
-            chan = criterion1_channel(rng_for(1, case), "real" if case % 2 else "complex")
-            try:
-                reprs.append(repr(achieve(chan, options)))
-            except SweepExhaustedError as exc:
-                reprs.append(repr(exc.diagnostics))
-        assert _results_sha256(reprs) == expected
+        reprs = [repr(c1_outcome(c1_channel(case), options)) for case in configs]
+        assert sha256_lines(reprs) == expected
 
 
 # sha256 over repr(to_json()) of results, one per line; repr pins the key
@@ -191,17 +177,14 @@ QPSK_KKT_JSON_SHA256 = "9630aeb572c5817582911f59b64ddf0053370bdf2a704b9076736ec1
 
 
 def _achieve_json_repr(chan, power_budget):
-    try:
-        return repr(achieve(chan, power_budget=power_budget).to_json())
-    except SweepExhaustedError as exc:
-        return repr(exc.diagnostics)
+    outcome = c1_outcome(chan, power_budget=power_budget)
+    return repr(outcome if isinstance(outcome, dict) else outcome.to_json())
 
 
 def test_result_json_is_byte_identical_to_frozen_digests():
-    chans = [criterion1_channel(rng_for(1, case), "real" if case % 2 else "complex")
-             for case in range(200)]
+    chans = [c1_channel(case) for case in range(200)]
     reprs = [_achieve_json_repr(chan, pb) for chan in chans for pb in (None, 0.5)]
-    assert _results_sha256(reprs) == C1_JSON_SHA256
+    assert sha256_lines(reprs) == C1_JSON_SHA256
     reprs = []
     for case in range(20):
         rng = rng_for(2, 100 + case)
@@ -212,7 +195,7 @@ def test_result_json_is_byte_identical_to_frozen_digests():
                               eave_adc=chan.eave_adc, mode=chan.mode)
         reprs.append(_achieve_json_repr(chan, 0.5 if case % 4 < 2 else None))
     assert sum("'reduced_rate': {" in r for r in reprs) > 10
-    assert _results_sha256(reprs) == REDUCED_JSON_SHA256
+    assert sha256_lines(reprs) == REDUCED_JSON_SHA256
     reprs = []
     for case in range(20):
         rng = rng_for(8, case)
@@ -230,7 +213,7 @@ def test_result_json_is_byte_identical_to_frozen_digests():
         chan = one_bit_real_channel(rng, legit_weaker=bool(case % 2))
         dist = random_real_input(rng)
         reprs.append(repr(kkt_check(chan, dist, float(rng.uniform(0.5, 4.0))).to_json()))
-    assert _results_sha256(reprs) == QPSK_KKT_JSON_SHA256
+    assert sha256_lines(reprs) == QPSK_KKT_JSON_SHA256
 
 
 # A construction keeps every point's rows and scores pairs in chunks; this
@@ -243,13 +226,10 @@ def test_c01_per_op_memory_peak_stays_bounded():
     tracemalloc.start()
     try:
         for case in range(200):
-            chan = criterion1_channel(rng_for(1, case), "real" if case % 2 else "complex")
+            chan = c1_channel(case)
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            try:
-                achieve(chan)
-            except SweepExhaustedError:
-                pass
+            c1_outcome(chan)
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
     finally:
         tracemalloc.stop()
@@ -597,7 +577,7 @@ def test_c10_results_are_byte_identical_to_frozen_digest(kkt_problems):
         # the whole report, as a fresh evaluation of the returned input gives it
         assert secrecy_rate(chan, result.input) == result.report
     reprs = [repr((result.input, result.report, result.trace)) for _, _, result in kkt_problems]
-    assert _results_sha256(reprs) == C10_RESULTS_SHA256
+    assert sha256_lines(reprs) == C10_RESULTS_SHA256
 
 
 def test_c10_optimizer_outputs_meet_the_budget(kkt_problems):

@@ -1,11 +1,13 @@
 import cmath
 import math
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import oracles
-from helpers import criterion1_channel, random_adc
+from helpers import c1_channel, c1_outcome, criterion1_channel, random_adc
 from wiretap_adc import achievability as achievability_mod
 from wiretap_adc import channel as channel_mod
 from wiretap_adc import infotheory as infotheory_mod
@@ -96,6 +98,54 @@ class TestAlignPhase:
     def test_zero_gain_rejected(self):
         with pytest.raises(ValidationError):
             align_phase(ComplexGain(1.0), ComplexGain(0.0, 0.0))
+
+    @staticmethod
+    def corrected_align_phase(w1, w2):
+        """align_phase with the rounding corrections it once had, as the reference."""
+        quarter = achievability_mod.QUARTER
+        delta = (w1.phase - w2.phase) % (2.0 * math.pi)
+        if delta >= 2.0 * math.pi:
+            delta = 0.0
+        m = int(delta // quarter) + 1
+        theta = (m * quarter - delta) / 2.0
+        if theta <= 0.0:
+            m += 1
+            theta = (m * quarter - delta) / 2.0
+        elif theta > math.pi / 4.0:
+            m -= 1
+            theta = (m * quarter - delta) / 2.0
+            if theta <= 0.0:
+                m += 1
+                theta = (m * quarter - delta) / 2.0
+        m = (m - 1) % 4 + 1
+        return achievability_mod.PhaseAlignment(
+            theta=theta, capital_phi=theta - w2.phase, m=m,
+            y1_bar=achievability_mod._Y1_BAR[m], delta=delta)
+
+    def test_quadrant_boundaries_need_no_rounding_correction(self):
+        # the exactness align_phase's docstring relies on
+        quarter = achievability_mod.QUARTER
+        assert all(Fraction(m * quarter) == m * Fraction(quarter) for m in range(1, 5))
+        assert math.pi / 4.0 == quarter / 2.0
+        # 2,000 ulps either side of each quadrant boundary k * QUARTER as the
+        # phase difference (align_phase reads only magnitude and phase), and a
+        # gain pair whose phase difference rounds delta up to 2 pi
+        phases = []
+        for k in range(5):
+            below = above = k * quarter
+            phases.append(below)
+            for _ in range(2000):
+                below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+                phases += [below, above]
+        w2 = SimpleNamespace(magnitude=1.0, phase=0.0)
+        pairs = [(SimpleNamespace(magnitude=1.0, phase=x), w2) for x in phases]
+        wrapped = (ComplexGain(1.0, -1e-300), ComplexGain(1.0))
+        assert (wrapped[0].phase - wrapped[1].phase) % (2.0 * math.pi) == 2.0 * math.pi
+        pairs.append(wrapped)
+        for w1, w2 in pairs:
+            al = align_phase(w1, w2)
+            assert al.m in (1, 2, 3, 4) and 0.0 < al.theta <= math.pi / 4.0, w1.phase
+            assert al == self.corrected_align_phase(w1, w2), w1.phase
 
 
 class TestCrossoversAndAmplitude:
@@ -221,7 +271,7 @@ class TestConstruct:
             (channel_mod, "_cells"),
             (infotheory_mod, "_information"),
         )
-        chan = criterion1_channel(np.random.default_rng([1, 1, 0]), "complex")
+        chan = c1_channel(0)
         res = construct_positive_rate(chan, ConstructOptions(keep_trace=True))
         assert len(res.trace) == 9
         builds = [args[1:] for name, args in calls if name == "_rows"]
@@ -258,7 +308,7 @@ class TestConstruct:
             (infotheory_mod, "_information"),
         )
         self.tee_scanned_pairs(monkeypatch, calls)
-        chan = criterion1_channel(np.random.default_rng([1, 1, case]), mode)
+        chan = c1_channel(case, mode)
         try:
             construct_positive_rate(chan)
         except SweepExhaustedError:
@@ -311,15 +361,7 @@ class TestConstruct:
 
     @staticmethod
     def c1_reprs(configs, options):
-        reprs = []
-        for case in configs:
-            chan = criterion1_channel(np.random.default_rng([1, 1, case]),
-                                      "real" if case % 2 else "complex")
-            try:
-                reprs.append(repr(achieve(chan, options)))
-            except SweepExhaustedError as exc:
-                reprs.append(repr(exc.diagnostics))
-        return reprs
+        return [repr(c1_outcome(c1_channel(case), options)) for case in configs]
 
     def test_far_points_match_the_rows_read_schedule(self, monkeypatch):
         # every far schedule the construction meets on C1 configs 0-199, in
@@ -335,8 +377,7 @@ class TestConstruct:
         monkeypatch.setattr(achievability_mod, "_far_points", recorded)
         for options in (ConstructOptions(), ConstructOptions(mode="best")):
             for case in range(200):
-                current["chan"] = criterion1_channel(np.random.default_rng([1, 1, case]),
-                                                     "real" if case % 2 else "complex")
+                current["chan"] = c1_channel(case)
                 self.c1_reprs([case], options)
         assert len(schedules) > 1000
         for (chan, near_amp, direction), fars in schedules.items():
@@ -543,7 +584,7 @@ class TestAchieve:
 
         monkeypatch.setattr(WiretapChannel, "has_symmetric_one_bit", counted)
         if legit == "c1":
-            chan = criterion1_channel(np.random.default_rng([1, 1, 0]), "complex")
+            chan = c1_channel(0)
         else:
             chan = TestReduce.asymmetric_channel()
         achieve(chan)

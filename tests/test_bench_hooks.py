@@ -7,9 +7,7 @@ benchmark run, since the bench's own tests are not part of this suite.
 import importlib.util
 from pathlib import Path
 
-import numpy as np
-
-from helpers import criterion1_channel
+from helpers import c1_channel
 from wiretap_adc import DiscreteInput, OptimizeConfig, achievability, optimizer, secrecy_rate
 
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
@@ -42,8 +40,7 @@ def test_traced_runs_reach_every_layer_the_bench_reads():
     # would leave that layer's bench metrics at 0
     layers = _load_layers()
     tracer = layers.Tracer()
-    complex_chan = criterion1_channel(np.random.default_rng([1, 1, 0]), "complex")
-    real_chan = criterion1_channel(np.random.default_rng([1, 1, 1]), "real")
+    complex_chan, real_chan = c1_channel(0), c1_channel(1)
     with tracer.installed():
         for chan in (complex_chan, real_chan):
             achievability.achieve(chan)  # the module binding is the one patched

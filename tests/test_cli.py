@@ -10,11 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import criterion1_channel
+from helpers import c1_channel
 from wiretap_adc import (
     AdcSpec,
     ComplexAdcPair,
@@ -292,9 +291,9 @@ class TestSweep:
         # the row at |b| rates the result's own points, so it matches exact_rate bit for
         # bit; config 28 ends in a split pair, whose far point lies half a quarter-turn
         # past the a-point's ray
-        assert achieve(criterion1_channel(np.random.default_rng([1, 1, 28]), "complex")).ray is None
+        assert achieve(c1_channel(28)).ray is None
         for case in range(40):
-            chan = criterion1_channel(np.random.default_rng([1, 1, case]), "complex")
+            chan = c1_channel(case, "complex")
             result = achieve(chan)
             b = abs(result.b)
             sweep = {"axis": "b", "start": b, "stop": b, "num": 1}
@@ -611,10 +610,6 @@ class TestQpskBound:
         header, rows = parse_csv(capsys.readouterr().out)
         assert header == ["i1", "i2", "rs", "bound"]
         assert len(rows) == 1
-
-
-def c1_channel(case, mode):
-    return criterion1_channel(np.random.default_rng([1, 1, case]), mode)
 
 
 def frozen_runs(group, write):

@@ -1,4 +1,3 @@
-import hashlib
 import math
 import tracemalloc
 
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from helpers import random_real_input, random_stochastic_matrix, wide_case
+from helpers import random_real_input, random_stochastic_matrix, sha256_lines, wide_case
 from wiretap_adc import (
     ComplexGain,
     DiscreteInput,
@@ -330,5 +329,4 @@ def test_wide_results_are_byte_identical_to_frozen_digest():
         chan, dist, budget = wide_case(case)
         result = secrecy_rate(chan, dist) if budget is None else kkt_check(chan, dist, budget)
         reprs.append(repr(result))
-    digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
-    assert digest == WIDE_RESULTS_SHA256
+    assert sha256_lines(reprs) == WIDE_RESULTS_SHA256

@@ -25,7 +25,7 @@ from wiretap_adc import (
     reflect_input,
     secrecy_rate,
 )
-from wiretap_adc import channel
+from wiretap_adc import achievability, channel
 from wiretap_adc import infotheory as infotheory_mod
 from wiretap_adc import optimizer as optimizer_mod
 from wiretap_adc.infotheory import _rate_arrays
@@ -141,6 +141,17 @@ def test_rate_evaluations_per_call_stay_small(monkeypatch):
     monkeypatch.setattr(channel, "transition_rows", counted)
     optimize_wyner_rate(EASY, 2.0, OptimizeConfig(restarts=4, seed=2))
     assert 0 < len(calls) <= 1000
+
+
+@pytest.mark.parametrize("restarts, builds", [(1, 0), (2, 0), (3, 1)])
+def test_construction_seed_is_built_only_when_restart_2_runs(monkeypatch, restarts, builds):
+    # restart 2 alone starts from the construction's points
+    calls = []
+    achieve_ = achievability.achieve
+    monkeypatch.setattr(achievability, "achieve",
+                        lambda *args: calls.append(args) or achieve_(*args))
+    optimize_wyner_rate(EASY, 2.0, OptimizeConfig(restarts=restarts, seed=0))
+    assert len(calls) == builds
 
 
 def test_determinism_and_restart_monotonicity():

@@ -4,6 +4,10 @@ The suites' numeric content is exercised through the CLI verify tests and the
 acceptance run; here we only pin the registry and the runner's contract.
 """
 
+import logging
+import math
+from dataclasses import replace
+
 import pytest
 
 from wiretap_adc import ValidationError
@@ -76,3 +80,32 @@ def test_broken_sign_invariant_is_caught(monkeypatch):
     )
     res = verification.run_verification(names=["folding_gap_signs"])[0]
     assert not res.passed
+
+
+def test_support_misses_that_folding_cannot_escape_are_caught(monkeypatch, caplog):
+    # every support verdict misses; the first three reports read rate -inf,
+    # which folding beats, and the last three +inf, which nothing beats: the
+    # suite counts those three as hard failures
+    optimize, support = verification.optimize_wyner_rate, verification.check_support_condition
+    rates = iter([-math.inf] * 3 + [math.inf] * 3)
+
+    def optimized(*args):
+        result = optimize(*args)
+        return replace(result, report=replace(result.report, rs=next(rates)))
+
+    monkeypatch.setattr(verification, "optimize_wyner_rate", optimized)
+    monkeypatch.setattr(verification, "check_support_condition",
+                        lambda *args: replace(support(*args), passed=False))
+    caplog.set_level(logging.INFO, logger=verification.__name__)
+    res = verification.run_verification(names=["support_condition"])[0]
+    assert (res.worst, res.cases, res.passed) == (3.0, 6, False)
+    assert sum("folding found a better input" in r.message for r in caplog.records) == 3
+
+
+def test_kkt_slackness_above_its_bound_is_caught(monkeypatch):
+    # a slackness residual above 1e-9 reads as worst 1.0
+    kkt = verification.kkt_check
+    monkeypatch.setattr(verification, "kkt_check",
+                        lambda *args: replace(kkt(*args), slackness_residual=2e-9))
+    res = verification.run_verification(names=["kkt"])[0]
+    assert (res.worst, res.cases, res.passed) == (1.0, 2, False)
