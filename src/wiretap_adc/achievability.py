@@ -74,10 +74,10 @@ _SATURATION_OFFSET = -float(ndtri(2.0**-54))
 # bound, as fractions of the canonical safety margin.
 _REFINE_DELTAS = tuple(2.0 ** (-k) for k in range(-1, 13))
 
-# Pairs are built and scored ahead in chunks of 2, 4, 8, then _BATCH_PAIRS, one
-# kernel call per receiver each; larger chunks cost more in temporaries and in
-# work that a "first"-mode hit leaves unused.
-_BATCH_PAIRS = 16
+# Pairs are built and scored in a chunk of 2 (a canonical hit rarely needs more),
+# then in chunks of _BATCH_PAIRS: a chunk costs one _rows call and one kernel call
+# per receiver (~60-70 and ~25-55 us on 2 vCPUs), one more pair only a few us.
+_BATCH_PAIRS = 32
 
 
 @dataclass(frozen=True)
@@ -311,17 +311,17 @@ class _Sweep:
     def scan(self, pairs, phis, width):
         """Evaluate each pair at phis in stream order, one step per run of width phis.
 
-        pairs yields (near, far, limit direction, sort amplitude, meta), built
-        and scored in chunks of 2, 4, 8, then _BATCH_PAIRS; the near point's
-        mass in the limit direction's cells gives p1 and p2.  With the trace
-        off, a pair that can neither hit nor lead (module docstring) is not
-        walked.  Returns the "first"-mode hit (module docstring) or None.
+        pairs yields (near, far, limit direction, sort amplitude, meta), built and
+        scored in a chunk of 2, then chunks of _BATCH_PAIRS (a chunk's fixed cost
+        dwarfs a pair's); the near point's mass in the limit direction's cells
+        gives p1 and p2.  With the trace off, a pair that can neither hit nor lead
+        (module docstring) is not walked.  Returns the "first"-mode hit or None.
         """
         laws = np.array([(phi, 1.0 - phi) for phi in phis])
         steps = [range(k, k + width) for k in range(0, len(phis), width)]
         pairs, size = iter(pairs), 2
         while chunk := list(islice(pairs, size)):
-            size = min(2 * size, _BATCH_PAIRS)
+            size = _BATCH_PAIRS
             self.build(point for pair in chunk for point in pair[:2])
             rates = _rates_from_rows(laws, [[(self._rows[near][r], self._rows[far][r])
                                              for near, far, *_ in chunk] for r in (0, 1)])

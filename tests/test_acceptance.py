@@ -217,7 +217,7 @@ def test_result_json_is_byte_identical_to_frozen_digests():
 
 
 # A construction keeps every point's rows and scores pairs in chunks; this
-# caps the temporaries those chunks may hold (the worst config reads ~480 KB)
+# caps the temporaries those chunks may hold (the worst, config 168, reads ~675 KB)
 C1_OP_PEAK_BYTES = 1 << 20
 
 

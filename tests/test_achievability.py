@@ -280,11 +280,17 @@ class TestConstruct:
         assert sum(name == "_information" for name, _ in calls) == 2
 
     @staticmethod
-    def tee_scanned_pairs(monkeypatch, calls):
-        """Record each pair as _Sweep.scan pulls it from its stream, in calls."""
+    def tee_scanned_pairs(monkeypatch, calls, starts=None):
+        """Record each pair as _Sweep.scan pulls it from its stream, in calls.
+
+        With starts, also record there the len(calls) at which each scan begins.
+        """
         scan = achievability_mod._Sweep.scan
 
         def teed(sweep, pairs, *args):
+            if starts is not None:
+                starts.append(len(calls))
+
             def pulled():
                 for pair in pairs:
                     calls.append(("pair", pair))
@@ -299,7 +305,9 @@ class TestConstruct:
         # C1 config 7 exhausts the sweep; config 28 runs every extended ray
         # before its split pair clears the floor.  The construction derives
         # its edge layout once and each limit direction's _ray_limits once.
-        calls = []
+        # Each scan scores a first chunk of at most 2 pairs, then chunks of
+        # _BATCH_PAIRS, one kernel call per receiver each.
+        calls, starts = [], []
         self.count_calls(
             monkeypatch, calls,
             (channel_mod, "_rows"),
@@ -307,12 +315,28 @@ class TestConstruct:
             (achievability_mod, "_ray_limits"),
             (infotheory_mod, "_information"),
         )
-        self.tee_scanned_pairs(monkeypatch, calls)
+        self.tee_scanned_pairs(monkeypatch, calls, starts)
         chan = c1_channel(case, mode)
         try:
             construct_positive_rate(chan)
         except SweepExhaustedError:
             assert case == 7
+        # the pairs a scan pulls before a kernel call form its chunk
+        chunks = []
+        for start, end in zip(starts, starts[1:] + [len(calls)]):
+            sizes, pulled = [], 0
+            for name, _ in calls[start:end]:
+                pulled += name == "pair"
+                if name == "_information" and pulled:
+                    sizes.append(pulled)
+                    pulled = 0
+            assert pulled == 0
+            chunks.append(sizes)
+        batch = achievability_mod._BATCH_PAIRS
+        assert all(sizes[0] <= 2 for sizes in chunks if sizes)
+        assert all(size == batch for sizes in chunks for size in sizes[1:-1])
+        assert all(size <= batch for sizes in chunks for size in sizes)
+        assert any(len(sizes) > 1 for sizes in chunks)
         pairs = {args[:2] for name, args in calls if name == "pair" and args[0] != args[1]}
         builds = [args[1:] for name, args in calls if name == "_rows"]
         assert builds and pairs
@@ -320,7 +344,7 @@ class TestConstruct:
         built = [x for _, xs in builds for x in xs]
         assert len(built) == len(set(built))
         kernel_calls = sum(name == "_information" for name, _ in calls)
-        assert kernel_calls < len(pairs)
+        assert kernel_calls == 2 * sum(map(len, chunks)) < len(pairs)
         assert sum(name == "_edge_layout" for name, _ in calls) == 1
         # every limit direction a pulled pair reads, and no other, is derived once
         derived = [args[1] for name, args in calls if name == "_ray_limits"]
@@ -385,7 +409,7 @@ class TestConstruct:
 
     def test_pair_chunks_build_every_point_read(self, monkeypatch):
         # C1 configs 0-199: each chunk of pairs builds the rows its limit
-        # lookups read, so limit_mass never builds rows; 492 _rows calls
+        # lookups read, so limit_mass never builds rows; 368 _rows calls
         calls = {"rows": 0, "lazy": 0}
         rows, limit_mass = channel_mod._rows, achievability_mod._Sweep.limit_mass
 
@@ -403,7 +427,17 @@ class TestConstruct:
         monkeypatch.setattr(achievability_mod._Sweep, "limit_mass", watched)
         self.c1_reprs(range(200), ConstructOptions())
         assert calls["lazy"] == 0
-        assert calls["rows"] == 492
+        assert calls["rows"] == 368
+
+    def test_results_do_not_depend_on_chunking(self, monkeypatch):
+        # a stacked kernel call gives each pair the bits of a one-pair call,
+        # and the walk keeps stream order, so one pair per chunk after the
+        # first changes no result, trace or evaluation count
+        runs = [(range(200), ConstructOptions()),
+                (range(100), ConstructOptions(mode="best", keep_trace=True))]
+        chunked = [self.c1_reprs(*run) for run in runs]
+        monkeypatch.setattr(achievability_mod, "_BATCH_PAIRS", 1)
+        assert [self.c1_reprs(*run) for run in runs] == chunked
 
     def test_rate_positive_across_random_channels(self):
         rng = np.random.default_rng(21)
