@@ -161,7 +161,8 @@ def _cells(layout, means):
     each reads a tail only where it is ndtr(mean - edge) or ndtr(edge - mean) bit for bit.
     """
     offsets = _edge_offsets(layout, means)
-    t, d = ndtr(np.copysign(offsets, -1.0)).ravel(), offsets.ravel()  # flat: row ends add a gap
+    t = np.copysign(offsets, -1.0)
+    t, d = ndtr(t, out=t).ravel(), offsets.ravel()  # flat: row ends add a gap
     below = d <= 0.0
     straddle = np.flatnonzero((d[:-1] < 0.0) & ~below[1:])
     out = np.subtract(t[:-1], t[1:], out=d[:-1])  # the offsets are spent: d takes the cells

@@ -16,6 +16,9 @@ RateReport as the restart's candidate; the winner is not scored again.
 The module also carries the analysis tools used to audit optimizer outputs:
 exact input folding, the folding-gap sign diagnostic, the sign-pattern
 support condition, and a KKT stationarity check with an estimated multiplier.
+That check reads the exact extremes over a fixed 2001-point grid, but builds
+transition rows only at points where an interval bound on the information
+density says an extreme can lie.
 """
 
 import logging
@@ -23,6 +26,7 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy.special import ndtr
 
 from .channel import RECEIVERS, _cell_slopes
 from .errors import EqualGainError, SweepExhaustedError, ValidationError
@@ -38,8 +42,13 @@ from .util import json_fields, require_budget, require_integer
 
 logger = logging.getLogger(__name__)
 
-# Points of kkt_check's symmetric audit grid
+# Points of kkt_check's symmetric audit grid; its answers are those of all
+# 2001, though it builds rows only where a bound says an extreme can lie
 KKT_GRID_POINTS = 2001
+# kkt_check builds every _KKT_STEP-th grid point first and bounds D between them
+_KKT_STEP = 32
+# Q(38) < 1e-315: a cell this many deviations from a mean holds 0 after UNDERFLOW_FLOOR
+_MASS_REACH = 38.0
 
 MAX_SUPPORT = 64
 _MERGE_TOL = 1e-9
@@ -371,7 +380,7 @@ def check_support_condition(input_dist, chan):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KktReport:
     """Stationarity audit of a candidate input at a power budget."""
 
@@ -395,8 +404,20 @@ def kkt_check(chan, input_dist, power_budget):
     Estimates the multiplier (zero when the power constraint is inactive,
     else the better-certifying of a least-squares fit on the support and a
     feasibility-interval candidate), then reports the worst constraint
-    violation on a symmetric grid of KKT_GRID_POINTS points, the on-support
+    violation over a symmetric grid of KKT_GRID_POINTS points, the on-support
     stationarity residual, and the complementary slackness residual.
+
+    Every number is the exact one over all grid points, but rows are built
+    only where one can matter: first the support and every _KKT_STEP-th grid
+    point, then only the points whose bound (_interval_bounds) on the density
+    D1 - D2 can reach or tie an extreme the report reads (the largest ratio
+    above and smallest below that _lambda_from_feasibility reads, then each
+    candidate's largest slack).  The bound rests on two facts: a cell's
+    probability is unimodal in x, and W log2(W/P_Y) is convex in W.  Points
+    never built read D = -inf, which no extreme reads.  A row's density does
+    not depend on the rows built beside it, and the rate is read from the
+    support rows that lead every kernel call, so each build keeps the bits of
+    one call over the whole grid.
     """
     _require_real(chan, "kkt_check")
     xs = input_dist.real_points()
@@ -408,16 +429,40 @@ def kkt_check(chan, input_dist, power_budget):
     radius = 3.0 * max(float(np.max(np.abs(xs))), math.sqrt(j), 1.0)
     grid = np.linspace(-radius, radius, KKT_GRID_POINTS)
 
-    # one kernel call per receiver; a row meeting an output P_Y lacks has density +inf
-    rates, dens = [], []
-    for w in _receiver_rows(chan, np.concatenate([xs, grid])):
-        (rate,), (densities,), (py,) = _information([probs], w)
-        rates.append(rate)
-        dens.append(np.where((w[:, py == 0.0] > 0.0).any(axis=1), math.inf, densities))
-    i1, i2 = rates
+    coarse = np.append(np.arange(0, KKT_GRID_POINTS - 1, _KKT_STEP), KKT_GRID_POINTS - 1)
+    (i1, i2), d, rows, pys = _densities(chan, xs, probs, grid[coarse])
     report = RateReport(i1=i1, i2=i2, rs=i1 - i2, power=input_dist.power)
-    with np.errstate(invalid="ignore"):  # inf - inf is handled in _residuals
-        d_support, d_grid = np.split(dens[0] - dens[1], [n])
+    d_support = d[:n]
+    d_grid = np.full(KKT_GRID_POINTS, -math.inf)
+    d_grid[coarse] = d[n:]
+    built = np.zeros(KKT_GRID_POINTS, dtype=bool)
+    built[coarse] = True
+    # each point's bound is its interval's; the last point is built
+    bound = np.append(np.repeat(
+        _interval_bounds(chan, grid[coarse], [w[n:] for w in rows], pys), np.diff(coarse)
+    ), -math.inf)
+
+    def build(need):
+        todo = np.flatnonzero(need & ~built)
+        if todo.size:
+            d_grid[todo] = _densities(chan, xs, probs, grid[todo])[1][n:]
+            built[todo] = True
+
+    def reaching(values, where, floor=-math.inf):
+        """Unbuilt points of where whose values at the bound reach the built points' max (or floor).
+
+        values must be monotone nondecreasing in D, bit for bit, as each
+        rounded subtraction and division by a fixed number is.  A +inf bound
+        reaches any max but NaN, so a point whose D may be +inf or NaN is
+        built unless a NaN max is already the answer, whatever the other
+        points read.
+        """
+        with np.errstate(invalid="ignore", divide="ignore"):
+            top = np.max(values(d_grid), where=where & built, initial=-math.inf)
+            return where & ~built & (values(bound) >= np.maximum(top, floor))
+
+    def slack(lam):
+        return lambda dg: dg - lam * (grid * grid - mean_square) - report.rs
 
     if mean_square < j - 1e-9 * max(1.0, j):
         candidates = [0.0]
@@ -434,12 +479,21 @@ def kkt_check(chan, input_dist, power_budget):
             num = float(np.dot(d_support - report.rs, denom))
             den = float(np.dot(denom, denom))
             candidates.append(max(0.0, num / den))
+        grid_denom, above, below = _feasibility_sides(grid, mean_square, scale)
+        # _lambda_from_feasibility reads max(0, largest ratio above) and the
+        # smallest below; the least-squares candidate's slack rides along
+        need = (reaching(lambda dg: (dg - report.rs) / grid_denom, above, 0.0)
+                | reaching(lambda dg: (report.rs - dg) / grid_denom, below))
+        for lam in candidates:
+            need |= reaching(slack(lam), True, 0.0)
+        build(need)
         candidates.append(
             _lambda_from_feasibility(grid, d_grid, report.rs, mean_square, scale)
         )
 
     def _residuals(lam):
-        slack_grid = d_grid - lam * (grid * grid - mean_square) - report.rs
+        build(reaching(slack(lam), True, 0.0))  # the report reads max(0, largest slack)
+        slack_grid = slack(lam)(d_grid)
         slack_support = d_support - lam * (xs * xs - mean_square) - report.rs
         worst = float(np.max(slack_grid))  # NaN where both densities are +inf
         return (
@@ -464,6 +518,83 @@ def kkt_check(chan, input_dist, power_budget):
     )
 
 
+def _densities(chan, xs, probs, points):
+    """((i1, i2), D1 - D2, each receiver's rows, each P_Y) of the support xs, then points.
+
+    One kernel call per receiver, the support rows first: the rates and P_Y
+    read those alone.  A row meeting an output P_Y lacks has density +inf.
+    """
+    rates, dens, rows, pys = [], [], [], []
+    for w in _receiver_rows(chan, np.concatenate([xs, points])):
+        (rate,), (densities,), (py,) = _information([probs], w)
+        rates.append(rate)
+        dens.append(np.where((w[:, py == 0.0] > 0.0).any(axis=1), math.inf, densities))
+        rows.append(w)
+        pys.append(py)
+    with np.errstate(invalid="ignore"):  # inf - inf is handled in _residuals
+        return tuple(rates), dens[0] - dens[1], rows, pys
+
+
+def _f_terms(w, py):
+    """w log2(w/P_Y) per cell, 0 where w is 0 or P_Y is 0."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        terms = w * np.log2(w / np.where(py > 0.0, py, 1.0))
+    return np.where((w > 0.0) & (py > 0.0), terms, 0.0)
+
+
+def _interval_bounds(chan, points, rows, pys):
+    """Upper bound of D1 - D2 on each interval between neighbouring points; +inf where unbounded.
+
+    f(W) = W log2(W/P_Y) is convex with its minimum at P_Y/e, so over the
+    range _cell_ranges gives each cell, the sum of max f bounds D1 above and
+    the sum of f at P_Y/e clipped to the range bounds D2 below.  A cell P_Y
+    lacks adds 0: at the eavesdropper a row with mass there reads D2 = +inf,
+    below any bound, and at the legitimate receiver the bound is +inf wherever
+    a mean comes within _MASS_REACH of the cell, as it is for any cell whose
+    W/P_Y may overflow.  The bound adds 1e-9 of a bound on the terms'
+    magnitudes (|f(W)| <= 1 + W |log2 P_Y| per cell), far past any rounding,
+    so no point left unbuilt can reach or tie an extreme.
+    """
+    bound = magnitude = 0.0
+    for receiver, w, py in zip(RECEIVERS, rows, pys):
+        low, high, gap = _cell_ranges(chan, receiver, points, w)
+        magnitude = magnitude + len(py) + high @ np.abs(np.log2(np.where(py > 0.0, py, 1.0)))
+        if receiver == "legit":
+            bound = bound + np.maximum(_f_terms(low, py), _f_terms(high, py)).sum(axis=1)
+            unbounded = np.where(py > 0.0, high > 1e300 * py, gap < _MASS_REACH).any(axis=1)
+        else:
+            bound = bound - _f_terms(np.clip(py / math.e, low, high), py).sum(axis=1)
+    return np.where(unbounded, math.inf, bound + 1e-9 * magnitude)
+
+
+def _cell_ranges(chan, receiver, points, w):
+    """(lowest W, highest W, distance from mean to cell) of each cell between neighbouring points.
+
+    w holds the receiver's rows at points.  Real mode reads one ADC per
+    receiver, and its cell probability W(y|x) is unimodal in the mean w x,
+    peaking where w x is the cell's midpoint (the end cells are monotone): on
+    an interval W lies between its smaller end value and its larger one, or
+    the cell's peak when that midpoint lies inside.  The ranges widen by
+    1e-9, far past any rounding.
+    """
+    edges = np.array([-np.inf, *chan.adc_for(receiver).real_part.thresholds, np.inf])
+    means = points * chan.gain_for(receiver).re
+    m_lo = np.minimum(means[:-1], means[1:])[:, None]
+    m_hi = np.maximum(means[:-1], means[1:])[:, None]
+    mode = 0.5 * (edges[:-1] + edges[1:])  # -inf, inf at the end cells
+    peak = np.where((m_lo <= mode) & (mode <= m_hi), 1.0 - 2.0 * ndtr(-0.5 * np.diff(edges)), 0.0)
+    high = np.maximum(np.maximum(w[:-1], w[1:]), peak) * (1.0 + 1e-9)
+    low = np.minimum(w[:-1], w[1:]) * (1.0 - 1e-9)
+    return low, high, np.maximum(edges[:-1] - m_hi, m_lo - edges[1:])
+
+
+def _feasibility_sides(grid, mean_square, scale):
+    """(x^2 - E[X^2], points above, points below) of the grid, beyond 1e-9 * scale."""
+    denom = grid * grid - mean_square
+    margin = 1e-9 * scale
+    return denom, denom > margin, denom < -margin
+
+
 def _lambda_from_feasibility(grid, d_grid, rs, mean_square, scale):
     """Multiplier from the feasibility interval when the support pins E[X^2].
 
@@ -471,10 +602,7 @@ def _lambda_from_feasibility(grid, d_grid, rs, mean_square, scale):
     feasible nonnegative value is preferred, falling back to the clamped
     interval midpoint when the bounds cross.
     """
-    denom = grid * grid - mean_square
-    margin = 1e-9 * scale
-    above = denom > margin
-    below = denom < -margin
+    denom, above, below = _feasibility_sides(grid, mean_square, scale)
     ratios_above = (d_grid[above] - rs) / denom[above]
     ratios_below = (d_grid[below] - rs) / denom[below]
     lo = max(0.0, float(np.max(ratios_above))) if ratios_above.size else 0.0

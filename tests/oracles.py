@@ -11,7 +11,8 @@ The masked_* kernel functions likewise keep the library's earlier
 whole-array np.where formulas, to pin the in-place kernel to their bits, and
 rows_read_far_points keeps the construction's earlier far schedule, which
 reads the library's own rows, to pin the schedule worked out from the
-thresholds to it.
+thresholds to it.  kkt_full_grid keeps kkt_check's earlier body, which built
+every row of the 2001-point grid, to pin the pruned audit to its bits.
 """
 
 import math
@@ -23,6 +24,9 @@ from scipy.special import ndtr
 
 from wiretap_adc.achievability import _MAX_DOUBLINGS, _ray_limits
 from wiretap_adc.channel import RECEIVERS, UNDERFLOW_FLOOR, transition_rows
+from wiretap_adc.infotheory import RateReport, _information, _receiver_rows
+from wiretap_adc.optimizer import KKT_GRID_POINTS, KktReport, _lambda_from_feasibility
+from wiretap_adc.util import require_budget
 
 mp.mp.dps = 40
 
@@ -265,3 +269,61 @@ def real_two_point_max(chan):
             x1, x2, logit = (float(v) for v in res.x)
             best = (-res.fun * scale, (x1, x2, _phi_of_logit(logit)))
     return best
+
+
+def kkt_full_grid(chan, input_dist, power_budget):
+    """kkt_check with a row for every point of the 2001-point grid, in one kernel call per receiver."""
+    xs = input_dist.real_points()
+    j = require_budget(power_budget)
+
+    probs = np.asarray(input_dist.probs)
+    n = len(xs)
+    mean_square = float(np.dot(probs, xs * xs))
+    radius = 3.0 * max(float(np.max(np.abs(xs))), math.sqrt(j), 1.0)
+    grid = np.linspace(-radius, radius, KKT_GRID_POINTS)
+
+    # a row meeting an output P_Y lacks has density +inf
+    rates, dens = [], []
+    for w in _receiver_rows(chan, np.concatenate([xs, grid])):
+        (rate,), (densities,), (py,) = _information([probs], w)
+        rates.append(rate)
+        dens.append(np.where((w[:, py == 0.0] > 0.0).any(axis=1), math.inf, densities))
+    i1, i2 = rates
+    report = RateReport(i1=i1, i2=i2, rs=i1 - i2, power=input_dist.power)
+    with np.errstate(invalid="ignore"):
+        d_support, d_grid = np.split(dens[0] - dens[1], [n])
+
+    if mean_square < j - 1e-9 * max(1.0, j):
+        candidates = [0.0]
+    else:
+        denom = xs * xs - mean_square
+        scale = max(1.0, mean_square)
+        candidates = []
+        if float(np.max(np.abs(denom))) > 1e-9 * scale:
+            num = float(np.dot(d_support - report.rs, denom))
+            den = float(np.dot(denom, denom))
+            candidates.append(max(0.0, num / den))
+        candidates.append(_lambda_from_feasibility(grid, d_grid, report.rs, mean_square, scale))
+
+    def residuals(lam):
+        slack_grid = d_grid - lam * (grid * grid - mean_square) - report.rs
+        slack_support = d_support - lam * (xs * xs - mean_square) - report.rs
+        worst = float(np.max(slack_grid))
+        return (
+            math.inf if math.isnan(worst) else max(0.0, worst),
+            float(np.max(np.abs(slack_support))),
+            abs(lam * (mean_square - j)),
+        )
+
+    lam, worst = min(((lam, residuals(lam)) for lam in candidates), key=lambda t: max(t[1]))
+    return KktReport(
+        lambda_=lam,
+        rate=report,
+        mean_square=mean_square,
+        power_budget=j,
+        max_slack_violation=worst[0],
+        support_residual=worst[1],
+        slackness_residual=worst[2],
+        grid_points=KKT_GRID_POINTS,
+        grid_radius=radius,
+    )

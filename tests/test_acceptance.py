@@ -568,6 +568,13 @@ def test_c10_kkt_residuals(kkt_problems):
     assert worst_compl <= 1e-9
 
 
+def test_c10_kkt_check_keeps_the_bits_of_the_full_grid(kkt_problems):
+    # the active-budget path: each multiplier candidate reads the rows it needs
+    for chan, j, result in kkt_problems:
+        want = oracles.kkt_full_grid(chan, result.input, j)
+        assert repr(kkt_check(chan, result.input, j)) == repr(want)
+
+
 # sha256 over repr((input, report, trace)) of every C10 optimizer result
 C10_RESULTS_SHA256 = "4b75087c4518ef97b1a847810a224b307670747da530c0a4d1fc3af837777c3d"
 

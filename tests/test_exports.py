@@ -24,6 +24,13 @@ def test_value_types_have_no_instance_dict():
         legit_adc=wiretap_adc.one_bit_pair(),
         eave_adc=pair,
     )
+    real = wiretap_adc.WiretapChannel(
+        w1=wiretap_adc.ComplexGain(2.0),
+        w2=wiretap_adc.ComplexGain(1.0),
+        legit_adc=wiretap_adc.one_bit_pair(),
+        eave_adc=pair,
+        mode="real",
+    )
     dist = wiretap_adc.DiscreteInput((-1.0, 1.0), (0.5, 0.5))
     instances = (
         spec,
@@ -33,6 +40,7 @@ def test_value_types_have_no_instance_dict():
         dist,
         wiretap_adc.secrecy_rate(chan, dist),
         wiretap_adc.achieve(chan),
+        wiretap_adc.kkt_check(real, dist, 1.0),
     )
     for obj in instances:
         assert not hasattr(obj, "__dict__"), type(obj).__name__

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from helpers import one_bit_real_channel, random_real_input, wide_case
 from wiretap_adc import (
     AdcSpec,
@@ -29,7 +30,15 @@ from wiretap_adc import achievability, channel
 from wiretap_adc import infotheory as infotheory_mod
 from wiretap_adc import optimizer as optimizer_mod
 from wiretap_adc.infotheory import _rate_arrays
-from wiretap_adc.optimizer import KKT_GRID_POINTS, _better, _rate_and_gradient
+from wiretap_adc.optimizer import (
+    _KKT_STEP,
+    KKT_GRID_POINTS,
+    _better,
+    _cell_ranges,
+    _densities,
+    _interval_bounds,
+    _rate_and_gradient,
+)
 
 EASY = WiretapChannel(
     w1=ComplexGain(2.0), w2=ComplexGain(1.0),
@@ -37,6 +46,23 @@ EASY = WiretapChannel(
 )
 
 FAST = OptimizeConfig(restarts=3, seed=0)
+
+
+def gap_cell_channels(lo):
+    """A legitimate cell (lo, lo + 2) that GAP_INPUT, at means -1000 and 1000, never reaches.
+
+    Grid points that put mass there read D = +inf with the one-bit
+    eavesdropper and NaN with the same cell at the eavesdropper.
+    """
+    cell = AdcSpec((lo, lo + 2.0), (0, 1, 2))
+    return [
+        WiretapChannel(w1=ComplexGain(1000.0), w2=ComplexGain(w2),
+                       legit_adc=ComplexAdcPair(cell, one_bit()), eave_adc=eave, mode="real")
+        for w2, eave in ((1.0, one_bit_pair()), (999.0, ComplexAdcPair(cell, one_bit())))
+    ]
+
+
+GAP_INPUT = DiscreteInput((-1.0, 1.0), (0.5, 0.5))
 
 
 def test_optimize_finds_positive_rate_within_budget():
@@ -333,29 +359,100 @@ def test_kkt_unseen_output_reads_infinite_density():
     assert report.max_slack_violation == math.inf
 
 
-def test_wide_real_cases_read_their_rate_from_one_kernel_call_per_receiver(monkeypatch):
+def test_wide_real_cases_read_their_rate_from_the_support_rows_of_every_kernel_call(monkeypatch):
     # the 20 real cases of the wide digest: 8-64-level ADCs, 2-5 support points
     calls = []
     kernel = infotheory_mod._information
 
     def counted(laws, rows, *args, **kwargs):
-        calls.append(len(rows))
+        calls.append(np.array(rows))
         return kernel(laws, rows, *args, **kwargs)
 
     for module in (infotheory_mod, optimizer_mod):
         monkeypatch.setattr(module, "_information", counted)
+    grid_rows = []
     for case in range(40, 60):
         chan, dist, budget = wide_case(case)
         want = secrecy_rate(chan, dist)
         n = len(dist.points)
+        support = [channel.transition_rows(chan, r, dist.real_points()) for r in channel.RECEIVERS]
         calls.clear()
         report = kkt_check(chan, dist, budget)
-        assert calls == [n + KKT_GRID_POINTS] * 2
+        # receivers alternate, each call led by that receiver's n support rows
+        assert len(calls) % 2 == 0
+        for k, rows in enumerate(calls):
+            assert rows[:n].tobytes() == support[k % 2].tobytes()
+        grid_rows.append(sum(len(rows) - n for rows in calls[::2]))
         assert repr(report.rate) == repr(want)
         calls.clear()
         rs, _ = _rate_and_gradient(chan, dist.real_points(), np.asarray(dist.probs))
-        assert calls == [n] * 2
+        assert len(calls) == 2 and all(len(rows) == n for rows in calls)
         assert rs.hex() == want.rs.hex()
+    # rows are built where the bound allows, not on the whole grid
+    assert np.median(grid_rows) <= 600 < KKT_GRID_POINTS
+
+
+def test_kkt_check_keeps_the_bits_of_the_full_grid():
+    negative = WiretapChannel(
+        w1=ComplexGain(-2.0), w2=ComplexGain(1.0),
+        legit_adc=one_bit_pair(), eave_adc=one_bit_pair(), mode="real",
+    )
+    unseen = [
+        WiretapChannel(w1=ComplexGain(1.0), w2=ComplexGain(w2), legit_adc=one_bit_pair(),
+                       eave_adc=one_bit_pair(), mode="real")
+        for w2 in (2.0, 0.01)
+    ]
+    cases = [wide_case(case) for case in range(40, 60)] + [
+        (EASY, DiscreteInput((-0.5, 0.5), (0.5, 0.5)), 100.0),  # inactive budget
+        (EASY, DiscreteInput((-1.0, 1.0), (0.5, 0.5)), 1.0),  # every |x|^2 = E
+        (EASY, DiscreteInput((1.5,), (1.0,)), 2.25),  # one point
+        (negative, DiscreteInput((-0.3, 0.2, 1.4), (0.2, 0.5, 0.3)), 1.0),
+    ] + [(chan, DiscreteInput((40.0,), (1.0,)), 1600.0) for chan in unseen] + [  # NaN, +inf
+        # on kkt_check's grid only points 996-1020, strictly between two coarse points
+        (chan, GAP_INPUT, 1.0) for chan in gap_cell_channels(23.0)
+    ]
+    for chan, dist, budget in cases:
+        assert repr(kkt_check(chan, dist, budget)) == repr(oracles.kkt_full_grid(chan, dist, budget))
+
+
+def test_interval_bounds_hold_at_every_grid_point():
+    # wide real cases, and narrow legitimate cells whose peak (x = 0, grid
+    # point 1000) falls between coarse points
+    narrow = [
+        WiretapChannel(
+            w1=ComplexGain(w1), w2=ComplexGain(0.5),
+            legit_adc=ComplexAdcPair(AdcSpec(t, tuple(range(len(t) + 1))), one_bit()),
+            eave_adc=one_bit_pair(), mode="real",
+        )
+        for w1, t in ((4.0, (-0.05, 0.05)), (-3.0, (-0.02, 0.0, 0.01, 1.0)))
+    ]
+    cases = [wide_case(case) for case in range(40, 60)] + [
+        (chan, DiscreteInput(pts, (0.5, 0.5)), 2.0)
+        for chan in narrow for pts in ((-1.5, 1.5), (0.7, 1.9))
+    ] + [
+        # cell (108.5, 110.5) lies 36.5 deviations from coarse point 1024 (mean
+        # 72), whose row has mass there: the interval ending at that point
+        # reads +inf by the mass reach alone
+        (chan, GAP_INPUT, 1.0) for lo in (23.0, 108.5) for chan in gap_cell_channels(lo)
+    ]
+    for chan, dist, budget in cases:
+        xs, probs = dist.real_points(), np.asarray(dist.probs)
+        n = len(xs)
+        radius = 3.0 * max(float(np.max(np.abs(xs))), math.sqrt(budget), 1.0)
+        grid = np.linspace(-radius, radius, KKT_GRID_POINTS)
+        coarse = np.append(np.arange(0, KKT_GRID_POINTS - 1, _KKT_STEP), KKT_GRID_POINTS - 1)
+        _, d, rows, pys = _densities(chan, xs, probs, grid[coarse])
+        bounds = _interval_bounds(chan, grid[coarse], [w[n:] for w in rows], pys)
+        d_grid = _densities(chan, xs, probs, grid)[1][n:]
+        for k, (start, end) in enumerate(zip(coarse[:-1], coarse[1:])):
+            # an interval that holds D = +inf or NaN must read +inf
+            assert bounds[k] == math.inf or d_grid[start:end + 1].max() < bounds[k]
+        # each cell's probability stays inside the range the bound reads
+        for receiver, w in zip(channel.RECEIVERS, rows):
+            low, high, _ = _cell_ranges(chan, receiver, grid[coarse], w[n:])
+            fine = channel.transition_rows(chan, receiver, grid)
+            for k, (start, end) in enumerate(zip(coarse[:-1], coarse[1:])):
+                assert (low[k] <= fine[start:end + 1]).all() and (fine[start:end + 1] <= high[k]).all()
 
 
 def test_kkt_degenerate_support_fallback():
